@@ -8,10 +8,20 @@ dipole waves of the cell.  The resulting Hermitian coupled-mode matrix
     even-site row:  sqrt(M) G_1(omega_{q+G})
     odd-site row:   sqrt(M) G_2(omega_{q+G}) e^{i G rho}
 
-is diagonalized exactly.  The rotating-wave coupling scales as 1/sqrt(omega_k)
-and is therefore cut off below ``min_coupled_mode_frequency`` (the G = 0 mode
-reaches omega = 0 at q = 0, where the bare expression diverges); the retained
-far-detuned modes shift near-resonant eigenvalues by well under 1e-2 gamma.
+is an arrowhead: a diagonal photon block bordered by two dense atom rows.
+``compute_bands`` (the dispersion engine, and the reference the tests use)
+diagonalizes it densely with ``np.linalg.eigvalsh``.  Gap detection
+(``gap_widths_vs_rho``) needs only the bands that reach its frequency
+window and diagonalizes nothing: the number of eigenvalues below omega is
+#(omega_k < omega) plus the negative inertia of a 2x2 Schur complement
+(Sylvester's law of inertia), an O(n_G) count per q, and bisection on that
+count gives each band value to float64 resolution (Barth, Martin &
+Wilkinson, Numer. Math. 9, 1967; Golub, SIAM Rev. 15, 1973).
+
+The rotating-wave coupling scales as 1/sqrt(omega_k) and is therefore cut
+off below ``min_coupled_mode_frequency`` (the G = 0 mode reaches omega = 0
+at q = 0, where the bare expression diverges); the retained far-detuned
+modes shift near-resonant eigenvalues by well under 1e-2 gamma.
 
 Atomic absorption is deliberately absent here (real spectrum); it lives in
 the transfer-matrix engine.
@@ -132,9 +142,13 @@ def _default_ir_cutoff(cfg: LatticeConfig) -> float:
     )
 
 
-def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: float):
-    """Stack of Bloch matrices for a q-grid; bitwise-identical to building
-    them one by one with build_bloch_matrix."""
+def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: float):
+    """Arrowhead data of the Bloch matrices on a q-grid.
+
+    Returns the photon frequencies omega_k(q) and the two atom rows
+    c1 = h[0, 2:] and c2 = h[1, 2:], each of shape (n_q, n_G); the atom
+    diagonal is (omega_1, omega_2) at every q.
+    """
     g0 = cfg.reciprocal_vector
     sp1, sp2 = cfg.species_even, cfg.species_odd
     ms = np.arange(-n_bz, n_bz + 1)
@@ -150,15 +164,22 @@ def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupl
     amp1 = root_m * (sp1.transition_frequency * sp1.dipole_moment * mode_root)
     amp2 = root_m * (sp2.transition_frequency * sp2.dipole_moment * mode_root)
     phase = np.exp(1j * ms * g0 * cfg.intracell_distance)       # (n_m,)
+    return omega_k, amp1, amp2 * phase
+
+
+def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: float):
+    """Stack of Bloch matrices for a q-grid; bitwise-identical to building
+    them one by one with build_bloch_matrix."""
+    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, min_coupled)
     n_q, n_m = omega_k.shape
     n = n_m + 2
     h = np.zeros((n_q, n, n), dtype=complex)
-    h[:, 0, 0] = sp1.transition_frequency
-    h[:, 1, 1] = sp2.transition_frequency
+    h[:, 0, 0] = cfg.species_even.transition_frequency
+    h[:, 1, 1] = cfg.species_odd.transition_frequency
     idx = np.arange(n_m)
     h[:, idx + 2, idx + 2] = omega_k
-    h[:, 0, 2:] = amp1
-    h[:, 1, 2:] = amp2 * phase
+    h[:, 0, 2:] = c1
+    h[:, 1, 2:] = c2
     h[:, 2:, 0] = np.conj(h[:, 0, 2:])
     h[:, 2:, 1] = np.conj(h[:, 1, 2:])
     return h
@@ -178,6 +199,18 @@ def _eigenvalues_for(cfg, q_chunk, n_bz, min_coupled):
                     f"eigensolver failed to converge at q = {q} rad/m"
                 ) from exc
         raise RuntimeError("eigensolver failed to converge") from exc
+
+
+def _q_grid(cfg: LatticeConfig, n_q: int, q_max: float | None = None) -> np.ndarray:
+    """Uniform grid of n_q points over [-q_max, q_max] (default: the full BZ)."""
+    if n_q < 3:
+        raise ValueError("need at least three q-points")
+    g0 = cfg.reciprocal_vector
+    if q_max is None:
+        q_max = g0 / 2
+    if not 0 < q_max <= g0 / 2:
+        raise ValueError("q_max must lie in (0, G0/2]")
+    return np.linspace(-q_max, q_max, n_q)
 
 
 def compute_bands(
@@ -201,14 +234,7 @@ def compute_bands(
     workers : q-points are independent; >1 maps them over a thread pool
         (LAPACK releases the GIL) with deterministic, q-ordered assembly.
     """
-    if n_q < 3:
-        raise ValueError("need at least three q-points")
-    g0 = cfg.reciprocal_vector
-    if q_max is None:
-        q_max = g0 / 2
-    if not 0 < q_max <= g0 / 2:
-        raise ValueError("q_max must lie in (0, G0/2]")
-    q_grid = np.linspace(-q_max, q_max, n_q)
+    q_grid = _q_grid(cfg, n_q, q_max)
     if min_coupled_mode_frequency is None:
         min_coupled_mode_frequency = _default_ir_cutoff(cfg)
     if workers > 1:
@@ -321,6 +347,65 @@ def find_gaps(
     return [Gap(a, b, i + 1) for i, (a, b) in enumerate(uncovered) if b > a]
 
 
+def _coupling_weights(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """|c1|^2, |c2|^2, Re(c1 c2*) and Im(c1 c2*) stacked on a last axis of 4."""
+    cross = c1 * np.conj(c2)
+    return np.stack((np.abs(c1) ** 2, np.abs(c2) ** 2, cross.real, cross.imag), axis=-1)
+
+
+def _count_below(omega, omega_k, weights, atoms) -> np.ndarray:
+    """Number of Bloch-matrix eigenvalues below omega, by Sylvester inertia.
+
+    ``omega`` has shape (n_q, n_w); ``omega_k`` (n_q, n_G) and ``weights``
+    (n_q, n_G, 4) come from ``_arrowhead`` and ``_coupling_weights``;
+    ``atoms`` is (omega_1, omega_2).  The count is #(omega_k < omega) plus the
+    negative inertia of the 2x2 Schur complement
+
+        S = diag(omega_1 - omega, omega_2 - omega) - sum_k c_k c_k^H / (omega_k - omega).
+    """
+    detuning = omega_k[:, None, :] - omega[:, :, None]          # (n_q, n_w, n_G)
+    photons = np.count_nonzero(detuning < 0.0, axis=-1)
+    # a pole hit exactly counts as lying one ulp above omega (it happens: the
+    # first midpoint of a window centred on the Bragg frequency is the photon
+    # frequency at q = +-G0/2)
+    hit = detuning == 0.0
+    if hit.any():
+        detuning[hit] = np.spacing(np.broadcast_to(omega[:, :, None], hit.shape)[hit])
+    # in place: a second (n_q, n_w, n_G) temporary doubles the cost of a count
+    sums = np.matmul(np.reciprocal(detuning, out=detuning), weights)    # (n_q, n_w, 4)
+    s11 = atoms[0] - omega - sums[..., 0]
+    s22 = atoms[1] - omega - sums[..., 1]
+    det = s11 * s22 - (sums[..., 2] ** 2 + sums[..., 3] ** 2)
+    negative = np.where(det < 0.0, 1, (s11 + s22 < 0.0) * (1 + (det > 0.0)))
+    return photons + negative
+
+
+def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: float, upper: float):
+    """Values on ``q_grid`` of the bands that reach [lower, upper], clamped to it.
+
+    Band k (0-based, ascending) is kept when it lies at or above ``lower`` at
+    some q and below ``upper`` at some q.  All (q, k) values are bisected
+    together on the eigenvalue count until the float64 midpoint stops moving;
+    no matrix is assembled or diagonalized.
+    """
+    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, _default_ir_cutoff(cfg))
+    weights = _coupling_weights(c1, c2)
+    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
+    column = (len(q_grid), 1)
+    at_lower = _count_below(np.full(column, lower), omega_k, weights, atoms)
+    at_upper = _count_below(np.full(column, upper), omega_k, weights, atoms)
+    k = np.arange(at_lower.min(), at_upper.max())
+    lo = np.full((len(q_grid), k.size), lower)
+    hi = np.full((len(q_grid), k.size), upper)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = _count_below(mid, omega_k, weights, atoms) > k  # band k lies below mid
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        mid = 0.5 * (lo + hi)
+    return np.where(k < at_lower, lower, np.where(k >= at_upper, upper, mid))
+
+
 @dataclass(frozen=True)
 class RhoScanEntry:
     """Gap inventory at one intracell distance, numeric and (if valid) analytic."""
@@ -345,12 +430,14 @@ def gap_widths_vs_rho(
     n_q: int = DEFAULT_N_Q,
     cover_tol: float | None = None,
     min_band_width: float = 0.0,
-    workers: int = 1,
 ) -> list[RhoScanEntry]:
     """Numeric (full BZ sweep) and analytic gap widths on a grid of rho values.
 
-    The analytic column is filled only when the two species share a
-    transition frequency, the validity domain of the band-edge formula.
+    The numeric gaps are those ``find_gaps`` reports for the full-BZ band
+    structure, with each band that reaches the window found by inertia
+    bisection (``_window_bands``) instead of a dense eigensolve.  The
+    analytic column is filled only when the two species share a transition
+    frequency, the validity domain of the band-edge formula.
     """
     sp1, sp2 = cfg.species_even, cfg.species_odd
     if window is None:
@@ -361,6 +448,15 @@ def gap_widths_vs_rho(
         )
         pad = 800.0 * sp1.linewidth
         window = (min(anchors) - pad, max(anchors) + pad)
+    if cover_tol is None:
+        cover_tol = sp1.linewidth / 10.0
+    if cover_tol < 0.0:
+        raise ValueError("cover_tol must be >= 0")
+    # clamped band values sit a linewidth outside the padded window, so they
+    # never set a gap edge
+    lower = window[0] - cover_tol - sp1.linewidth
+    upper = window[1] + cover_tol + sp1.linewidth
+    q_grid = _q_grid(cfg, n_q)
     symmetric = (
         abs(sp1.transition_frequency - sp2.transition_frequency)
         <= 1e-9 * sp1.transition_frequency
@@ -370,7 +466,8 @@ def gap_widths_vs_rho(
         if not 0.0 <= rho <= cfg.cell_size:
             raise ValueError(f"rho = {rho} outside [0, a]")
         local = cfg.replace(intracell_distance=float(rho))
-        bs = compute_bands(local, n_bz=n_bz, n_q=n_q, workers=workers)
+        bands = _window_bands(local, q_grid, n_bz, lower, upper)
+        bs = BandStructure(q_grid, bands, n_bz, local)
         gaps = find_gaps(bs, window, cover_tol=cover_tol, min_band_width=min_band_width)
         edges = analytic_band_edges(local) if symmetric else None
         entries.append(RhoScanEntry(float(rho), gaps, edges))

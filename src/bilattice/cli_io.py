@@ -335,16 +335,18 @@ def parse_config(text: str) -> RunConfig:
             if (wmin is None) != (wmax is None):
                 raise ConfigError("give both or neither of window_min/window_max")
             if wmin is not None:
-                spec_kwargs["window"] = (
-                    omega0 + wmin.scalar(gamma_units, "detuning"),
-                    omega0 + wmax.scalar(gamma_units, "detuning"),
-                )
-            entry = take("cover_tol")
-            if entry is not None:
-                spec_kwargs["cover_tol"] = entry.scalar(gamma_units, "detuning")
-            entry = take("min_band_width")
-            if entry is not None:
-                spec_kwargs["min_band_width"] = entry.scalar(gamma_units, "detuning")
+                low = wmin.scalar(gamma_units, "detuning")
+                high = wmax.scalar(gamma_units, "detuning")
+                if high <= low:
+                    wmax.fail("must exceed window_min")
+                spec_kwargs["window"] = (omega0 + low, omega0 + high)
+            for key in ("cover_tol", "min_band_width"):
+                entry = take(key)
+                if entry is not None:
+                    value = entry.scalar(gamma_units, "detuning")
+                    if value < 0:
+                        entry.fail("must be >= 0")
+                    spec_kwargs[key] = value
 
     if engine in ("transmit", "cavity"):
         gamma_units = {"gamma": gamma_ref}

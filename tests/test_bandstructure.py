@@ -6,14 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bilattice.bandstructure import (
+    _arrowhead,
+    _count_below,
+    _coupling_weights,
+    _default_ir_cutoff,
     analytic_band_edges,
     build_bloch_matrix,
     compute_bands,
     find_gaps,
     gap_widths_vs_rho,
 )
+from bilattice.cli_io import bundled_config_text, parse_config
 from bilattice.constants import C, TWO_PI
 from bilattice.core import AtomSpecies, LatticeConfig
 
@@ -196,6 +202,29 @@ def test_full_numeric_edges_match_analytic_to_1e3(omega0):
     assert rel < 1e-3
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    rho_frac=st.floats(0.0, 1.0),
+    q_frac=st.floats(-0.5, 0.5),
+    detuning=st.floats(-800.0, 800.0),
+    species=st.sampled_from([(-10.0, -10.0), (-10.0, 530.0), (-530.0, 530.0)]),
+)
+def test_inertia_count_matches_eigvalsh(omega0, rho_frac, q_frac, detuning, species):
+    n_bz = 40
+    cfg = make_lattice(
+        omega0, cells=100, rho_frac=rho_frac, detuning_even=species[0], detuning_odd=species[1]
+    )
+    q = q_frac * cfg.reciprocal_vector
+    omega = cfg.bragg_frequency + detuning * GAMMA
+    evals = np.linalg.eigvalsh(build_bloch_matrix(q, cfg, n_bz=n_bz).matrix)
+    # both counts are exact only up to rounding (~1e-6 gamma) at an eigenvalue
+    assume(np.min(np.abs(evals - omega)) > 1e-4 * GAMMA)
+    omega_k, c1, c2 = _arrowhead(cfg, np.array([q]), n_bz, _default_ir_cutoff(cfg))
+    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
+    count = _count_below(np.array([[omega]]), omega_k, _coupling_weights(c1, c2), atoms)
+    assert count[0, 0] == np.count_nonzero(evals < omega)
+
+
 # ---------------------------------------------------------------------------
 # gap detection
 
@@ -311,6 +340,33 @@ def test_rho_scan_rejects_out_of_cell(omega0):
     cfg = make_lattice(omega0, cells=100)
     with pytest.raises(ValueError, match="outside"):
         gap_widths_vs_rho(cfg, [1.5 * cfg.cell_size], n_bz=4, n_q=11)
+
+
+def test_rho_scan_rejects_negative_cover_tol(omega0):
+    cfg = make_lattice(omega0, cells=100)
+    with pytest.raises(ValueError, match="cover_tol"):
+        gap_widths_vs_rho(cfg, [0.2 * cfg.cell_size], n_bz=4, n_q=11, cover_tol=-GAMMA)
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
+def test_rho_scan_matches_eigvalsh_gaps_on_bundled_configs(name):
+    # dark flat band (rho = 0), gap closure (a/4), a/2 and a generic rho
+    spec = parse_config(bundled_config_text(name)).sweep
+    lat = spec.lattice
+    gamma = lat.species_even.linewidth
+    window = spec.window or window_for(lat)
+    rhos = [f * lat.cell_size for f in (0.0, 0.25, 0.5, 0.137)]
+    entries = gap_widths_vs_rho(
+        lat, rhos, window=window, n_bz=spec.n_bz, n_q=spec.n_q,
+        cover_tol=spec.cover_tol, min_band_width=spec.min_band_width,
+    )
+    for rho, entry in zip(rhos, entries):
+        bs = compute_bands(lat.replace(intracell_distance=rho), n_bz=spec.n_bz, n_q=spec.n_q)
+        ref = find_gaps(bs, window, cover_tol=spec.cover_tol, min_band_width=spec.min_band_width)
+        assert len(entry.gaps) == len(ref)
+        for got, want in zip(entry.gaps, ref):
+            assert got.lower_edge == pytest.approx(want.lower_edge, abs=1e-4 * gamma)
+            assert got.upper_edge == pytest.approx(want.upper_edge, abs=1e-4 * gamma)
 
 
 def test_gap_widths_cell_count_independent(omega0):

@@ -230,6 +230,23 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("window_max = 800 gamma", "window_max = -800 gamma"),
+        ("n_q = 201", "n_q = 201\ncover_tol = -0.1 gamma"),
+        ("n_q = 201", "n_q = 201\nmin_band_width = -1 gamma"),
+    ],
+    ids=["empty_window", "negative_cover_tol", "negative_min_band_width"],
+)
+def test_cli_bad_gap_input_exit_code(tmp_path, capsys, edit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(bundled_config_text("fig4").replace(*edit))
+    assert run_cli(["gaps", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "must" in err
+
+
 def test_cli_missing_config_file(capsys):
     assert run_cli(["transmit", "--config", "/nonexistent.cfg"]) == 1
     assert "not found" in capsys.readouterr().err
