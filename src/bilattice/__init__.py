@@ -48,7 +48,7 @@ from .core import (
 from .sweep import SweepSpec, Table, run_sweep
 from .transfer_matrix import (
     ScatterMatrix,
-    SpectrumPoint,
+    Spectrum,
     cell_dephasing,
     dimer_matrix,
     period_matrix,
@@ -69,7 +69,7 @@ __all__ = [
     "Gap",
     "LatticeConfig",
     "ScatterMatrix",
-    "SpectrumPoint",
+    "Spectrum",
     "SteadyState",
     "SweepSpec",
     "Table",

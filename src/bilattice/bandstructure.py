@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -109,30 +108,10 @@ def build_bloch_matrix(
             f"quasi-momentum {q} outside first BZ, folded to {folded}", stacklevel=2
         )
         q = folded
-    sp1, sp2 = cfg.species_even, cfg.species_odd
     if min_coupled_mode_frequency is None:
         min_coupled_mode_frequency = _default_ir_cutoff(cfg)
+    h = _assemble_stack(cfg, np.array([q]), n_bz, min_coupled_mode_frequency)[0]
     ms = np.arange(-n_bz, n_bz + 1)
-    omega_k = C * np.abs(q + ms * g0)
-    n = len(ms) + 2
-    volume = cfg.quantization_volume
-    root_m = math.sqrt(cfg.cell_count)
-    h = np.zeros((n, n), dtype=complex)
-    h[0, 0] = sp1.transition_frequency
-    h[1, 1] = sp2.transition_frequency
-    rho = cfg.intracell_distance
-    for i, m in enumerate(ms):
-        h[2 + i, 2 + i] = omega_k[i]
-        if omega_k[i] < min_coupled_mode_frequency:
-            continue
-        h[0, 2 + i] = root_m * freespace_coupling(sp1, omega_k[i], volume)
-        h[1, 2 + i] = (
-            root_m
-            * freespace_coupling(sp2, omega_k[i], volume)
-            * np.exp(1j * m * g0 * rho)
-        )
-    h[2:, 0] = np.conj(h[0, 2:])
-    h[2:, 1] = np.conj(h[1, 2:])
     return BlochMatrix(q, ms, h)
 
 
@@ -168,8 +147,7 @@ def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: f
 
 
 def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: float):
-    """Stack of Bloch matrices for a q-grid; bitwise-identical to building
-    them one by one with build_bloch_matrix."""
+    """Stack of Bloch matrices for a q-grid (build_bloch_matrix is one q of it)."""
     omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, min_coupled)
     n_q, n_m = omega_k.shape
     n = n_m + 2
@@ -219,7 +197,6 @@ def compute_bands(
     n_q: int = DEFAULT_N_Q,
     q_max: float | None = None,
     min_coupled_mode_frequency: float | None = None,
-    workers: int = 1,
 ) -> BandStructure:
     """Diagonalize the coupled-mode matrix on a uniform, symmetric q-grid.
 
@@ -231,24 +208,11 @@ def compute_bands(
     q_max : half-width of the scanned q-interval; defaults to the BZ edge
         G0/2.  All near-resonant structure lives within |q| ~ (coupling)/c,
         so dispersion plots typically use a much smaller window.
-    workers : q-points are independent; >1 maps them over a thread pool
-        (LAPACK releases the GIL) with deterministic, q-ordered assembly.
     """
     q_grid = _q_grid(cfg, n_q, q_max)
     if min_coupled_mode_frequency is None:
         min_coupled_mode_frequency = _default_ir_cutoff(cfg)
-    if workers > 1:
-        chunks = np.array_split(q_grid, min(workers * 4, n_q))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda c: _eigenvalues_for(cfg, c, n_bz, min_coupled_mode_frequency),
-                    chunks,
-                )
-            )
-        bands = np.concatenate(rows)
-    else:
-        bands = _eigenvalues_for(cfg, q_grid, n_bz, min_coupled_mode_frequency)
+    bands = _eigenvalues_for(cfg, q_grid, n_bz, min_coupled_mode_frequency)
     return BandStructure(q_grid, bands, n_bz, cfg)
 
 

@@ -17,11 +17,17 @@ standing-wave overlap factors cos(phi), cos(k rho + phi); incommensurate
 geometries keep all five amplitudes, and their spectra are independent of
 rho and phi.
 
-Eliminating the spins gives a single-pole cavity response with the collective
-rate M R, where R = (g1^2 + g2^2)/2 (incommensurate) or
-R = g1^2 cos^2 phi + g2^2 cos^2(k rho + phi) (commensurate).  Multiple site
-occupancy n̄ rescales every g_j by sqrt(n̄).  Output photon flux:
-I = 2 kappa |<a>|^2.
+Eliminating the spins exactly, for any detunings and linewidths, gives
+
+    <a> = eta / (i delta_c + kappa + sum_j C_j / (i delta_j + gamma_j/2)),
+
+C_1 = M g1^2 cos^2 phi, C_2 = M g2^2 cos^2(k rho + phi) (commensurate) or
+C_j = M g_j^2 / 2 (incommensurate).  This closed form is the production path
+(``output_intensity``, ``cavity_spectrum_scan``), one array evaluation per
+probe grid; ``steady_state`` keeps the linear solve as its oracle.  With
+equal species it is a single-pole response with collective rate M R,
+R = (C_1 + C_2)/M.  Multiple site occupancy n̄ rescales every g_j by
+sqrt(n̄).  Output photon flux: I = 2 kappa |<a>|^2.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import cmath
 import dataclasses
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -113,6 +118,15 @@ class SteadyState:
     spin_odd_minus: complex        # <d_{-Q}>
 
 
+def _species_couplings(
+    g1: float, g2: float, k: float, rho: float, phi: float, commensurate: bool
+) -> tuple[float, float]:
+    """Per-cell coupling-squared of each species to the addressed spin wave(s)."""
+    if commensurate:
+        return (g1 * math.cos(phi)) ** 2, (g2 * math.cos(k * rho + phi)) ** 2
+    return 0.5 * g1 * g1, 0.5 * g2 * g2
+
+
 def collective_coupling_squared(
     g1: float, g2: float, k: float, rho: float, phi: float, commensurate: bool
 ) -> float:
@@ -121,9 +135,8 @@ def collective_coupling_squared(
     Incommensurate: R = (g1^2 + g2^2)/2, independent of rho and phi.
     Commensurate:   R = g1^2 cos^2(phi) + g2^2 cos^2(k rho + phi).
     """
-    if commensurate:
-        return (g1 * math.cos(phi)) ** 2 + (g2 * math.cos(k * rho + phi)) ** 2
-    return 0.5 * (g1 * g1 + g2 * g2)
+    r1, r2 = _species_couplings(g1, g2, k, rho, phi, commensurate)
+    return r1 + r2
 
 
 def eigenfrequencies(
@@ -176,6 +189,8 @@ def steady_state(
     Handles unequal detunings and linewidths; the commensurate branch solves
     the reduced 3x3 system (b_+ = b_-, d_+ = d_-), the incommensurate one the
     full 5x5 system.  With kappa, gamma > 0 the system is never singular.
+    The spectra use the spin-eliminated closed form (``output_intensity``);
+    this solve, which also returns the spin amplitudes, is its oracle.
     """
     g1, g2 = _effective_couplings(cavity, species_even, species_odd)
     delta_c = cavity.mode_frequency - omega_p
@@ -232,12 +247,22 @@ def output_intensity(
     cavity: CavityConfig,
     species_even: AtomSpecies,
     species_odd: AtomSpecies,
-    omega_p: float,
+    omega_p,
     rho: float,
-) -> float:
-    """Photon flux at the cavity output, I = 2 kappa |<a>|^2 [photons/s]."""
-    ss = steady_state(cavity, species_even, species_odd, omega_p, rho)
-    return 2.0 * cavity.linewidth * abs(ss.cavity_amplitude) ** 2
+):
+    """Photon flux at the cavity output, I = 2 kappa |<a>|^2 [photons/s].
+
+    <a> from the exact spin elimination (module docstring); elementwise on
+    an array of probe frequencies omega_p.
+    """
+    g1, g2 = _effective_couplings(cavity, species_even, species_odd)
+    rates = _species_couplings(g1, g2, cavity.wavevector, rho, cavity.phase, cavity.commensurate)
+    spins = sum(
+        cavity.cell_count * rate / (1j * (sp.transition_frequency - omega_p) + 0.5 * sp.linewidth)
+        for rate, sp in zip(rates, (species_even, species_odd))
+    )
+    amplitude = cavity.pump / (1j * (cavity.mode_frequency - omega_p) + cavity.linewidth + spins)
+    return 2.0 * cavity.linewidth * np.abs(amplitude) ** 2
 
 
 def output_intensity_closed_form(
@@ -277,9 +302,7 @@ def cooperativity(cell_count: int, coupling_sq: float, kappa: float, gamma: floa
 
 
 def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    """Quadratic interpolation of a local maximum at grid index i."""
-    if i <= 0 or i >= len(x) - 1:
-        return float(x[i])
+    """Quadratic interpolation of a local maximum at interior grid index i."""
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]
     denom = y0 - 2.0 * y1 + y2
     if denom == 0.0:
@@ -290,11 +313,10 @@ def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
 
 def extract_peaks(probe_grid: np.ndarray, intensity: np.ndarray) -> list[float]:
     """Local maxima of a sampled spectrum, refined by quadratic interpolation."""
-    peaks = []
-    for i in range(1, len(probe_grid) - 1):
-        if intensity[i] > intensity[i - 1] and intensity[i] >= intensity[i + 1]:
-            peaks.append(_refine_peak(probe_grid, intensity, i))
-    return peaks
+    y = np.asarray(intensity)
+    inner = y[1:-1]
+    maxima = np.flatnonzero((inner > y[:-2]) & (inner >= y[2:])) + 1
+    return [_refine_peak(probe_grid, y, i) for i in maxima.tolist()]
 
 
 class CavityScanCell(NamedTuple):
@@ -312,45 +334,28 @@ def cavity_spectrum_scan(
     probe_grid: Sequence[float],
     rho_values: Sequence[float],
     phi_values: Sequence[float],
-    workers: int = 1,
 ) -> list[CavityScanCell]:
     """Output spectra over (rho, phi) grids, with extracted and predicted peaks.
 
+    Each cell's spectrum is one array evaluation over the probe grid.
     Predicted peak positions come from the strong-coupling two-peak formula
-    with the same effective M R as the scan cell.  Cells are independent and
-    evaluated in lexicographic (rho, phi) order regardless of worker count.
+    with the same effective M R as the scan cell.  Cells come back in
+    lexicographic (rho, phi) order.
     """
     if len(probe_grid) == 0 or len(rho_values) == 0 or len(phi_values) == 0:
         raise ValueError("empty scan grid")
     probe = np.asarray(probe_grid, dtype=float)
-    cells = [(rho, phi) for rho in rho_values for phi in phi_values]
 
-    def run_cell(cell):
-        rho, phi = cell
+    def run_cell(rho, phi):
         # finesse dropped so the kappa-consistency warning fires at most once,
         # at construction of the original config
         local = dataclasses.replace(cavity, phase=phi, finesse=None)
-        intensity = np.array(
-            [
-                output_intensity(local, species_even, species_odd, wp, rho)
-                for wp in probe
-            ]
-        )
+        intensity = output_intensity(local, species_even, species_odd, probe, rho)
         g1, g2 = _effective_couplings(local, species_even, species_odd)
-        r_eff = collective_coupling_squared(
-            g1, g2, local.wavevector, rho, phi, local.commensurate
-        )
+        r_eff = collective_coupling_squared(g1, g2, local.wavevector, rho, phi, local.commensurate)
         predicted = rabi_peak_frequencies(
-            local.mode_frequency,
-            species_even.transition_frequency,
-            local.cell_count,
-            r_eff,
+            local.mode_frequency, species_even.transition_frequency, local.cell_count, r_eff
         )
-        return CavityScanCell(
-            rho, phi, intensity, extract_peaks(probe, intensity), predicted
-        )
+        return CavityScanCell(rho, phi, intensity, extract_peaks(probe, intensity), predicted)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(cell) for cell in cells]
+    return [run_cell(rho, phi) for rho in rho_values for phi in phi_values]

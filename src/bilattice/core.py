@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import C, EPS0, HBAR, NAMED_TRANSITIONS, TWO_PI
 
 _WAVELENGTH_RTOL = 1e-12
@@ -140,8 +142,6 @@ class LatticeConfig:
         return self.mode_area * self.cell_count * self.cell_size
 
     def plane_positions(self):
-        import numpy as np
-
         cells = np.arange(self.cell_count) * self.cell_size
         pos = np.empty(self.plane_count)
         pos[0::2] = cells
@@ -173,9 +173,10 @@ def polarizability(omega_p: float, species: AtomSpecies) -> complex:
     """Complex volume polarizability per atom at probe frequency omega_p [m^3].
 
     Lorentzian response versus delta = omega_j - omega_p; purely imaginary on
-    resonance with peak modulus (3/16 pi^3) lambda_p^3.
+    resonance with peak modulus (3/16 pi^3) lambda_p^3.  Elementwise on an
+    array of omega_p, as is xi_parameter.
     """
-    if omega_p <= 0:
+    if np.any(np.asarray(omega_p) <= 0):
         raise ValueError("probe frequency must be positive")
     lam_p = TWO_PI * C / omega_p
     delta = species.transition_frequency - omega_p

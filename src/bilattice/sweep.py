@@ -1,10 +1,12 @@
 """Parameter-sweep orchestration: one engine, a grid, a deterministic table.
 
-Grid cells are pure-function evaluations and run either serially or on a
-thread pool; rows are always assembled in lexicographic grid order, so the
-output is byte-identical for any worker count.  A failing cell contributes a
-NaN-marked row and an entry in the table's error list instead of aborting the
-sweep (unless fail_fast is set).
+Grid cells (one rho, or one (rho, phi) pair for the cavity) are pure-function
+evaluations and run either serially or on a thread pool; the transmit and
+cavity engines evaluate a cell's whole probe grid in one call.  Rows are
+always assembled in lexicographic grid order, so the output is byte-identical
+for any worker count.  A failing cell or probe point contributes NaN-marked
+rows and an entry in the table's error list instead of aborting the sweep
+(unless fail_fast is set).
 """
 
 from __future__ import annotations
@@ -101,6 +103,22 @@ def _map_cells(spec: SweepSpec, cells, worker):
     return [guarded(cell) for cell in cells]
 
 
+def _rows(prefix: tuple, *columns) -> list[tuple]:
+    """Row tuples of equal-length column arrays, each led by ``prefix``."""
+    return [prefix + row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+def _rho_rows(spec: SweepSpec, table: Table, run) -> Table:
+    """Append the rows of run(rho) for every rho; a failed rho gets one NaN row."""
+    rhos = spec.resolved_rhos()
+    for (rows, err), rho in zip(_map_cells(spec, rhos, run), rhos):
+        if err is not None:
+            table.errors.append({"rho": float(rho), "error": err})
+            rows = [(rho / spec.lattice.cell_size,) + (NAN,) * (len(table.columns) - 1)]
+        table.rows.extend(rows)
+    return table
+
+
 def _gamma_units(spec: SweepSpec, omega: float) -> float:
     return (omega - spec.reference_frequency) / spec.reference_linewidth
 
@@ -123,19 +141,9 @@ def _bands_table(spec: SweepSpec) -> Table:
             n_q=spec.n_q,
             q_max=spec.q_max,
         )
-        rows = []
-        for iq, q in enumerate(bs.q_grid):
-            vals = tuple(_gamma_units(spec, w) for w in bs.bands[iq])
-            rows.append((rho / a, q / g0) + vals)
-        return rows
+        return _rows((rho / a,), bs.q_grid / g0, *_gamma_units(spec, bs.bands).T)
 
-    for (rows, err), rho in zip(_map_cells(spec, rhos, run), rhos):
-        if err is not None:
-            table.errors.append({"rho": float(rho), "error": err})
-            table.rows.append((rho / a, NAN) + (NAN,) * n_modes)
-        else:
-            table.rows.extend(rows)
-    return table
+    return _rho_rows(spec, table, run)
 
 
 def _gaps_table(spec: SweepSpec) -> Table:
@@ -184,13 +192,7 @@ def _gaps_table(spec: SweepSpec) -> Table:
             row += [NAN] * 6
         return [tuple(row)]
 
-    for (rows, err), rho in zip(_map_cells(spec, rhos, run), rhos):
-        if err is not None:
-            table.errors.append({"rho": float(rho), "error": err})
-            table.rows.append((rho / a,) + (NAN,) * (len(columns) - 1))
-        else:
-            table.rows.extend(rows)
-    return table
+    return _rho_rows(spec, table, run)
 
 
 def _transmit_table(spec: SweepSpec) -> Table:
@@ -203,23 +205,27 @@ def _transmit_table(spec: SweepSpec) -> Table:
     table = Table(
         columns, [], {"engine": "transmit", "rho_values": list(map(float, rhos))}
     )
-    cells = [(rho, wp) for rho in rhos for wp in spec.probe_grid]
+    grid = np.asarray(spec.probe_grid, dtype=float)
 
-    def run(cell):
-        rho, wp = cell
+    def run(rho):
         local = cfg.replace(intracell_distance=float(rho))
-        pt = transfer_matrix.spectrum_scan(local, [wp])[0]
-        base = (pt.omega_p, pt.detuning, pt.transmitted, pt.reflected, pt.absorbed)
-        return [base if single else (rho / a,) + base]
+        result = transfer_matrix.spectrum_scan(local, grid)
+        if result.errors and spec.fail_fast:
+            raise ValueError(next(iter(result.errors.values())))
+        return result
 
-    for (rows, err), cell in zip(_map_cells(spec, cells, run), cells):
+    for (result, err), rho in zip(_map_cells(spec, rhos, run), rhos):
+        prefix = () if single else (rho / a,)
         if err is not None:
-            rho, wp = cell
-            table.errors.append({"rho": float(rho), "omega_p": float(wp), "error": err})
-            nan_tail = (wp,) + (NAN,) * 4
-            table.rows.append(nan_tail if single else (rho / a,) + nan_tail)
-        else:
-            table.rows.extend(rows)
+            table.errors.append({"rho": float(rho), "error": err})
+            nan = np.full(grid.shape, NAN)
+            table.rows.extend(_rows(prefix, grid, nan, nan, nan, nan))
+            continue
+        for i, msg in result.errors.items():
+            table.errors.append(
+                {"rho": float(rho), "omega_p": float(grid[i]), "error": f"ValueError: {msg}"}
+            )
+        table.rows.extend(_rows(prefix, *result[:5]))   # omega_p, detuning, T, R, A
     return table
 
 
@@ -245,35 +251,32 @@ def _cavity_table(spec: SweepSpec) -> Table:
             "peaks": [],
         },
     )
+    grid = np.asarray(spec.probe_grid, dtype=float)
+    detuning = _gamma_units(spec, grid)
     cells = [(rho, phi) for rho in rhos for phi in phis]
 
     def run(cell):
         rho, phi = cell
-        result = cavity_mod.cavity_spectrum_scan(
-            cav, lat.species_even, lat.species_odd, spec.probe_grid, [rho], [phi]
+        return cavity_mod.cavity_spectrum_scan(
+            cav, lat.species_even, lat.species_odd, grid, [rho], [phi]
         )[0]
-        rows = []
-        for wp, inten in zip(spec.probe_grid, result.intensities):
-            base = (float(wp), _gamma_units(spec, wp), float(inten), float(inten) / peak_norm)
-            rows.append(base if single else (rho / a, phi) + base)
-        summary = {
-            "rho_over_a": rho / a,
-            "phi_rad": float(phi),
-            "peaks_rad_s": result.peaks,
-            "predicted_rad_s": list(result.predicted_peaks),
-        }
-        return rows, summary
 
-    for (out, err), cell in zip(_map_cells(spec, cells, run), cells):
-        rho, phi = cell
+    for (result, err), (rho, phi) in zip(_map_cells(spec, cells, run), cells):
         if err is not None:
             table.errors.append({"rho": float(rho), "phi": float(phi), "error": err})
-            nan_tail = (NAN,) * len(base_cols)
-            table.rows.append(nan_tail if single else (rho / a, phi) + nan_tail)
+            intensity = np.full(grid.shape, NAN)
         else:
-            rows, summary = out
-            table.rows.extend(rows)
-            table.meta["peaks"].append(summary)
+            intensity = result.intensities
+            table.meta["peaks"].append(
+                {
+                    "rho_over_a": rho / a,
+                    "phi_rad": float(phi),
+                    "peaks_rad_s": result.peaks,
+                    "predicted_rad_s": list(result.predicted_peaks),
+                }
+            )
+        prefix = () if single else (rho / a, phi)
+        table.rows.extend(_rows(prefix, grid, detuning, intensity, intensity / peak_norm))
     return table
 
 

@@ -3,17 +3,30 @@
 A lattice plane with sheet response xi acts on forward/backward field
 amplitudes through the unimodular boundary matrix; one period is boundary x
 free propagation, one cell is the product of the two periods (d1 = rho,
-d2 = a - rho).  The n-cell response is evaluated with the Chebyshev identity
-for powers of unimodular matrices,
+d2 = a - rho).  Every function here works elementwise on arrays of probe
+frequencies, so a whole spectrum is one pass of numpy arithmetic.
+
+The n-cell response follows from the Chebyshev identity for powers of
+unimodular matrices,
 
     (M^n)_22 = [sin(n Theta) (M_22 - cos Theta) + cos(n Theta) sin Theta] / sin Theta,
     (M^n)_12 = M_12 sin(n Theta) / sin Theta,      cos Theta = Tr(M)/2,
 
 written in a form that stays finite for n up to 1e6 (only e^{i n Theta} with
-Im Theta >= 0 appears, never its inverse).  cos Theta is always taken from
-the exact dimer trace; small-xi expansions of the cell dephasing that replace
-the intracell cross term cos k_p(d1 - d2) by cos k_p rho are not used, they
-are only accurate to O(xi1 xi2 (k_p a - 2 pi)).
+Im Theta >= 0 appears, never its inverse).  cos Theta is the exact dimer
+trace; sin Theta comes from the entries, not from 1 - cos^2 Theta, which
+cancels at the band edges cos Theta = +-1 (acos(Tr M/2) lost ~eps/|sin Theta|
+there before n multiplied it):
+
+    sin^2 Theta = -((M_11 - M_22)^2 + 4 M_12 M_21) / 4        (det M = 1).
+
+The root kept makes the eigenvalue lambda = cos Theta + i sin Theta satisfy
+|lambda| <= 1, i.e. Im Theta >= 0, and Theta = -i log lambda.  The stack
+formula writes lambda = +-e^{i phi} with phi = arctan(sin Theta / cos Theta)
+where |sin Theta| < |cos Theta| (else phi = -i log(+-lambda)), so that phi
+and expm1(2 i n phi) = e^{2 i n Theta} - 1 keep relative accuracy at the
+band edges.  Small-xi expansions of the cell dephasing (cos k_p(d1 - d2) ->
+cos k_p rho) are not used; they are only accurate to O(xi1 xi2 (k_p a - 2 pi)).
 
 Absorption enters through Im(xi) and does not break unimodularity, so
 energy conservation |r|^2 + |t|^2 = 1 holds exactly only for real xi.
@@ -21,8 +34,6 @@ energy conservation |r|^2 + |t|^2 = 1 holds exactly only for real xi.
 
 from __future__ import annotations
 
-import cmath
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,14 +42,17 @@ import numpy as np
 from .constants import C
 from .core import LatticeConfig, xi_parameter
 
-# Below this |sin Theta| the Chebyshev ratios are evaluated by their
-# parabolic (cos Theta = +-1) limit; relative error O((n sin Theta)^2 / 6).
-_DEGENERATE_SIN = 3e-8
+# n |sin Theta| below which stack_coefficients takes the parabolic limit
+_DEGENERATE_NSIN = 1e-8
 
 
 @dataclass(frozen=True)
 class ScatterMatrix:
-    """2x2 complex transfer matrix relating right-side to left-side amplitudes."""
+    """2x2 complex transfer matrix relating right-side to left-side amplitudes.
+
+    Entries are complex numbers or equal-shape complex arrays (one matrix
+    per probe frequency); every operation acts elementwise.
+    """
 
     m11: complex
     m12: complex
@@ -74,26 +88,21 @@ class ScatterMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
 
-    @classmethod
-    def identity(cls) -> "ScatterMatrix":
-        return cls(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
+class Spectrum(NamedTuple):
+    """T, R, A of the full stack over a probe grid, one array entry per point.
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """Transmission/reflection/absorption of the full stack at one probe frequency."""
+    A point that fails a check (omega_p <= 0, or A outside [-1e-9, 1], which
+    catches a T or R that is not finite) carries NaN in T, R and A, and the
+    reason under its grid index in ``errors``.
+    """
 
-    omega_p: float        # [rad/s]
-    detuning: float       # (omega_p - omega_even) / gamma_even
-    transmitted: float    # T = |t|^2
-    reflected: float      # R = |r|^2
-    absorbed: float       # A = 1 - T - R
-
-    def __post_init__(self):
-        if self.transmitted < 0 or self.reflected < 0:
-            raise ValueError("negative power coefficient")
-        if not -1e-9 <= self.absorbed <= 1.0:
-            raise ValueError(f"absorption {self.absorbed} outside [0, 1]")
+    omega_p: np.ndarray        # [rad/s]
+    detuning: np.ndarray       # (omega_p - omega_even) / gamma_even
+    transmitted: np.ndarray    # T = |t|^2
+    reflected: np.ndarray      # R = |r|^2
+    absorbed: np.ndarray       # A = 1 - T - R
+    errors: dict[int, str]
 
 
 def plane_coefficients(xi: complex) -> tuple[complex, complex]:
@@ -108,22 +117,22 @@ def plane_coefficients(xi: complex) -> tuple[complex, complex]:
     return 1j * xi / denom, 1.0 / denom
 
 
-def period_matrix(xi: complex, d: float, k_p: float) -> ScatterMatrix:
-    """Transfer matrix of one period: plane boundary then propagation over d."""
+def period_matrix(xi, d: float, k_p) -> ScatterMatrix:
+    """Transfer matrix of one period: plane boundary then propagation over d.
+
+    (1/t) [[t^2 - r^2, r], [-r, 1]] . diag(e^{i k d}, e^{-i k d}) with the
+    plane's (r, t), which t - r = 1 reduces to
+    [[1 + i xi, i xi], [-i xi, 1 - i xi]] . diag(e^{i k d}, e^{-i k d}).
+    """
     if d < 0:
         raise ValueError("propagation distance must be non-negative")
-    r, t = plane_coefficients(xi)
-    phase = cmath.exp(1j * k_p * d)
-    # (1/t) [[t^2 - r^2, r], [-r, 1]] . diag(e^{i k d}, e^{-i k d})
+    phase = np.exp(1j * k_p * d)
     return ScatterMatrix(
-        (t * t - r * r) / t * phase,
-        r / t / phase,
-        -r / t * phase,
-        1.0 / t / phase,
+        (1.0 + 1j * xi) * phase, 1j * xi / phase, -1j * xi * phase, (1.0 - 1j * xi) / phase
     )
 
 
-def _cell_xis(cfg: LatticeConfig, omega_p: float) -> tuple[complex, complex]:
+def _cell_xis(cfg: LatticeConfig, omega_p):
     ns = cfg.areal_density
     return (
         xi_parameter(omega_p, cfg.species_even, ns),
@@ -131,10 +140,11 @@ def _cell_xis(cfg: LatticeConfig, omega_p: float) -> tuple[complex, complex]:
     )
 
 
-def dimer_matrix(cfg: LatticeConfig, omega_p: float) -> ScatterMatrix:
+def dimer_matrix(cfg: LatticeConfig, omega_p) -> ScatterMatrix:
     """Transfer matrix of one elementary cell, M_{d1 d2} = M_{d1} M_{d2}.
 
     d1 = rho carries the even-site species, d2 = a - rho the odd-site one.
+    ``omega_p`` is one frequency or an array of them.
     """
     k_p = omega_p / C
     xi1, xi2 = _cell_xis(cfg, omega_p)
@@ -143,54 +153,62 @@ def dimer_matrix(cfg: LatticeConfig, omega_p: float) -> ScatterMatrix:
     return period_matrix(xi1, d1, k_p) @ period_matrix(xi2, d2, k_p)
 
 
-def _bloch_phase(m: ScatterMatrix) -> tuple[complex, complex, complex]:
-    """(Theta, sin Theta, M22 - cos Theta) with the attenuating branch Im Theta >= 0."""
-    cos_theta = 0.5 * m.trace
-    theta = cmath.acos(cos_theta)
-    if theta.imag < 0:
-        theta = -theta
-    return theta, cmath.sin(theta), m.m22 - cos_theta
+def _cos_sin(m: ScatterMatrix):
+    """(cos Theta, sin Theta) with sin^2 Theta from the entries, on the
+    branch |cos Theta + i sin Theta| <= 1 (Im Theta >= 0)."""
+    cos = 0.5 * (m.m11 + m.m22)
+    sin = np.sqrt(-0.25 * ((m.m11 - m.m22) ** 2 + 4.0 * m.m12 * m.m21))
+    # |cos + i sin|^2 - |cos - i sin|^2 = 4 Im(cos conj(sin))
+    return cos, np.where((cos * np.conj(sin)).imag > 0, -sin, sin)
 
 
 def cell_dephasing(cfg: LatticeConfig, omega_p: float) -> tuple[complex, complex, complex]:
     """Cell dephasing Theta and the single-slice dephasings (Theta, Theta1, Theta2).
 
-    Theta = acos(Tr(M_cell)/2) on the branch with Im Theta >= 0; the slice
-    values obey cos Theta_j = cos(k_p d_j) - xi_j sin(k_p d_j) exactly.
-    When sin(k_p rho) = 0 the cell factorizes and Theta = Theta1 + Theta2.
+    Theta is the cell's Bloch phase with Im Theta >= 0; the slice values
+    obey cos Theta_j = cos(k_p d_j) - xi_j sin(k_p d_j) exactly.  When
+    sin(k_p rho) = 0 the cell factorizes and Theta = Theta1 + Theta2.
     """
-    theta, _, _ = _bloch_phase(dimer_matrix(cfg, omega_p))
     k_p = omega_p / C
     xi1, xi2 = _cell_xis(cfg, omega_p)
     d1 = cfg.intracell_distance
     d2 = cfg.cell_size - d1
-    slices = []
-    for xi, d in ((xi1, d1), (xi2, d2)):
-        th = cmath.acos(cmath.cos(k_p * d) - xi * cmath.sin(k_p * d))
-        if th.imag < 0:
-            th = -th
-        slices.append(th)
-    return theta, slices[0], slices[1]
+    cells = (dimer_matrix(cfg, omega_p), period_matrix(xi1, d1, k_p), period_matrix(xi2, d2, k_p))
+    # Theta = -i log(cos Theta + i sin Theta), real part in (-pi, pi]
+    return tuple(complex(-1j * np.log(c + 1j * s)) for c, s in map(_cos_sin, cells))
 
 
 def stack_coefficients(cell: ScatterMatrix, n: int) -> tuple[complex, complex]:
     """(r_n, t_n) of n repetitions of the unimodular cell matrix.
 
     r_n = (M^n)_12/(M^n)_22 and t_n = 1/(M^n)_22 through the Chebyshev
-    closed form; near the parabolic points cos Theta = +-1 the degenerate
-    limit M^n = s^{n-1}(n M - (n-1) s I) is used instead of dividing by
-    sin Theta.
+    closed form.  Where n |sin Theta| < 1e-8 (cos Theta = s = +-1 up to
+    rounding) the parabolic limit M^n = s^{n-1}(n M - (n-1) s I) replaces the
+    division by sin Theta; it is off by a relative (n sin Theta)^2 / 2 < 5e-17,
+    below float64 rounding, and above the cutover the closed form keeps
+    relative accuracy, so only sin Theta = 0 itself needs the limit.
+    Elementwise for a matrix of arrays.
     """
     if n < 1:
         raise ValueError("need at least one cell")
-    theta, sin_theta, b = _bloch_phase(cell)
-    if abs(sin_theta) < _DEGENERATE_SIN:
-        s = 1.0 if (0.5 * cell.trace).real >= 0 else -1.0
-        den = n * cell.m22 - (n - 1) * s
-        return n * cell.m12 / den, s ** ((n - 1) % 2) / den
-    w = cmath.exp(1j * n * theta)            # |w| <= 1 on this branch
-    den = w * w * (sin_theta - 1j * b) + (sin_theta + 1j * b)
-    return -1j * cell.m12 * (w * w - 1.0) / den, 2.0 * w * sin_theta / den
+    cos, sin = _cos_sin(cell)
+    sign = np.where(cos.real >= 0, 1.0, -1.0)
+    b = cell.m22 - cos
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # cos + i sin = sign e^{i phi}; arctan keeps small phi relatively exact
+        phi = np.where(
+            np.abs(sin) < np.abs(cos), np.arctan(sin / cos), -1j * np.log(sign * (cos + 1j * sin))
+        )
+        w = sign ** (n % 2) * np.exp(1j * n * phi)     # e^{i n Theta}, |w| <= 1
+        w2m1 = np.expm1(2j * n * phi)                  # w^2 - 1
+        den = w2m1 * (sin - 1j * b) + 2.0 * sin
+        r = -1j * cell.m12 * w2m1 / den
+        t = 2.0 * w * sin / den
+        parabolic = n * np.abs(sin) < _DEGENERATE_NSIN
+        limit = n * cell.m22 - (n - 1) * sign      # s^{n-1} (M^n)_22 at the limit
+        r = np.where(parabolic, n * cell.m12 / limit, r)
+        t = np.where(parabolic, sign ** ((n - 1) % 2) / limit, t)
+    return r[()], t[()]
 
 
 def transmission_closed_form(cfg: LatticeConfig, omega_p: float, n: int) -> complex:
@@ -199,10 +217,8 @@ def transmission_closed_form(cfg: LatticeConfig, omega_p: float, n: int) -> comp
     Stable up to n ~ 1e6; the degenerate band-center case sin Theta = 0 is
     evaluated through the parabolic limit rather than by division.
     """
-    if n < 1:
-        raise ValueError("need at least one cell")
     _, t = stack_coefficients(dimer_matrix(cfg, omega_p), n)
-    return t
+    return complex(t)
 
 
 class AsymptoticTransmission(NamedTuple):
@@ -219,35 +235,40 @@ def transmission_asymptotic(cfg: LatticeConfig, omega_p: float, n: int) -> Asymp
     """
     if n < 1:
         raise ValueError("need at least one cell")
-    theta, sin_theta, b = _bloch_phase(dimer_matrix(cfg, omega_p))
-    w = cmath.exp(1j * n * theta)
-    value = 2.0 * w * sin_theta / (sin_theta + 1j * b)
-    return AsymptoticTransmission(value, theta.imag > theta.real)
+    m = dimer_matrix(cfg, omega_p)
+    cos, sin = _cos_sin(m)
+    theta = complex(-1j * np.log(cos + 1j * sin))
+    value = 2.0 * np.exp(1j * n * theta) * sin / (sin + 1j * (m.m22 - cos))
+    return AsymptoticTransmission(complex(value), theta.imag > theta.real)
 
 
-def _scan_point(cfg: LatticeConfig, omega_p: float) -> SpectrumPoint:
-    r, t = stack_coefficients(dimer_matrix(cfg, omega_p), cfg.cell_count)
-    transmitted = abs(t) ** 2
-    reflected = abs(r) ** 2
-    sp = cfg.species_even
-    detuning = (omega_p - sp.transition_frequency) / sp.linewidth
-    return SpectrumPoint(
-        omega_p, detuning, transmitted, reflected, 1.0 - transmitted - reflected
-    )
-
-
-def spectrum_scan(
-    cfg: LatticeConfig, probe_grid: Sequence[float], workers: int = 1
-) -> list[SpectrumPoint]:
+def spectrum_scan(cfg: LatticeConfig, probe_grid: Sequence[float]) -> Spectrum:
     """T, R, A of the full cfg.cell_count-cell stack over a probe grid.
 
-    Frequency points are independent; with workers > 1 they are evaluated by
-    a thread pool with results in input order (numpy/cmath release the GIL
-    rarely here, but points are cheap; parallelism mainly serves large grids).
+    All points are evaluated together; a point that fails its checks is NaN
+    in T, R and A and listed in ``Spectrum.errors``, the others are
+    unaffected.
     """
-    if len(probe_grid) == 0:
+    omega = np.asarray(probe_grid, dtype=float)
+    if omega.size == 0:
         raise ValueError("empty probe grid")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda w: _scan_point(cfg, w), probe_grid))
-    return [_scan_point(cfg, w) for w in probe_grid]
+    sp = cfg.species_even
+    transmitted = np.full(omega.shape, np.nan)
+    reflected = np.full(omega.shape, np.nan)
+    good = omega > 0
+    r, t = stack_coefficients(dimer_matrix(cfg, omega[good]), cfg.cell_count)
+    transmitted[good] = np.abs(t) ** 2
+    reflected[good] = np.abs(r) ** 2
+    absorbed = 1.0 - transmitted - reflected
+    # T, R >= 0 by construction; a non-finite T or R leaves A NaN or infinite
+    valid = (absorbed >= -1e-9) & (absorbed <= 1.0)
+    errors = {
+        i: f"absorption {absorbed[i]} outside [0, 1]" if good[i]
+        else "probe frequency must be positive"
+        for i in np.flatnonzero(~valid).tolist()
+    }
+    transmitted[~valid] = reflected[~valid] = absorbed[~valid] = np.nan
+    return Spectrum(
+        omega, (omega - sp.transition_frequency) / sp.linewidth,
+        transmitted, reflected, absorbed, errors,
+    )

@@ -129,12 +129,6 @@ def test_spectrum_symmetric_under_q_reversal(omega0):
     assert dev < 1e-10
 
 
-def test_parallel_band_sweep_matches_serial(fiber_lattice):
-    serial = compute_bands(fiber_lattice, n_bz=8, n_q=17, workers=1)
-    threaded = compute_bands(fiber_lattice, n_bz=8, n_q=17, workers=4)
-    assert np.array_equal(serial.bands, threaded.bands)
-
-
 def test_band_sweep_rejects_tiny_grid(fiber_lattice):
     with pytest.raises(ValueError, match="three"):
         compute_bands(fiber_lattice, n_q=2)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bilattice import cavity as cavity_mod
 from bilattice.sweep import SweepSpec, run_sweep
 
 from conftest import GAMMA, make_cavity, make_lattice
@@ -79,6 +80,62 @@ def test_fail_fast_raises(omega0):
     spec = transmit_spec(omega0, probe=np.array([-5.0]), fail_fast=True)
     with pytest.raises(ValueError, match="positive"):
         run_sweep(spec)
+
+
+def test_failed_point_lands_at_its_rho_and_frequency(omega0):
+    lat = make_lattice(omega0, cells=100)
+    a = lat.cell_size
+    w1 = lat.species_even.transition_frequency
+    probe = np.array([w1 - GAMMA, w1, 0.0, w1 + GAMMA])   # omega_p = 0 is unphysical
+    rhos = [0.0, 0.2 * a, 0.4 * a]
+    table = run_sweep(transmit_spec(omega0, rhos=rhos, probe=probe))
+    assert len(table.rows) == 3 * 4
+    for k, rho in enumerate(rhos):
+        for j, wp in enumerate(probe):
+            row = table.rows[4 * k + j]
+            assert row[0] == pytest.approx(rho / a)
+            assert row[1] == wp and math.isfinite(row[2])
+            assert all(math.isnan(v) == (j == 2) for v in row[3:])
+    assert [(e["rho"], e["omega_p"]) for e in table.errors] == [(rho, 0.0) for rho in rhos]
+    assert all("positive" in e["error"] for e in table.errors)
+    with pytest.raises(ValueError, match="positive"):
+        run_sweep(transmit_spec(omega0, rhos=rhos, probe=probe, fail_fast=True))
+
+
+def test_failed_cavity_cell_keeps_one_row_per_probe_point(omega0, monkeypatch):
+    lat = make_lattice(omega0, cells=100)
+    a = lat.cell_size
+    probe = omega0 + np.linspace(-40, 40, 81) * GAMMA
+    original = cavity_mod.cavity_spectrum_scan
+
+    def failing_at_second_rho(cavity, even, odd, grid, rho_values, phi_values):
+        if rho_values[0] == 0.2 * a:
+            raise RuntimeError("injected")
+        return original(cavity, even, odd, grid, rho_values, phi_values)
+
+    monkeypatch.setattr(cavity_mod, "cavity_spectrum_scan", failing_at_second_rho)
+    spec = SweepSpec(
+        engine="cavity",
+        lattice=lat,
+        cavity=make_cavity(omega0, phase=0.0),
+        reference_frequency=omega0,
+        reference_linewidth=GAMMA,
+        probe_grid=probe,
+        rho_values=np.array([0.0, 0.2 * a]),
+        phi_values=np.array([0.0, math.pi / 2]),
+    )
+    table = run_sweep(spec)
+    assert len(table.rows) == 4 * 81
+    assert [(e["rho"], e["phi"]) for e in table.errors] == [
+        (0.2 * a, 0.0), (0.2 * a, math.pi / 2)
+    ]
+    assert len(table.meta["peaks"]) == 2
+    failed = table.rows[2 * 81:]
+    assert [r[:2] for r in failed] == pytest.approx([(0.2, 0.0)] * 81 + [(0.2, math.pi / 2)] * 81)
+    assert [r[2] for r in failed] == list(probe) * 2
+    assert [r[3] for r in failed] == pytest.approx(list(np.linspace(-40, 40, 81)) * 2)
+    assert all(math.isnan(r[4]) and math.isnan(r[5]) for r in failed)
+    assert not any(math.isnan(v) for r in table.rows[: 2 * 81] for v in r)
 
 
 def test_bands_engine_table(omega0):
