@@ -132,13 +132,14 @@ def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: f
     sp1, sp2 = cfg.species_even, cfg.species_odd
     ms = np.arange(-n_bz, n_bz + 1)
     omega_k = C * np.abs(q_grid[:, None] + ms[None, :] * g0)    # (n_q, n_m)
-    coupled = omega_k >= min_coupled
-    with np.errstate(divide="ignore"):
-        mode_root = np.where(
-            coupled,
-            np.sqrt(1.0 / (2.0 * cfg.quantization_volume * EPS0 * HBAR * omega_k)),
-            0.0,
-        )
+    # only modes at or above the cutoff: 1/omega_k overflows near omega_k = 0
+    mode_root = np.divide(
+        1.0,
+        2.0 * cfg.quantization_volume * EPS0 * HBAR * omega_k,
+        out=np.zeros_like(omega_k),
+        where=omega_k >= min_coupled,
+    )
+    np.sqrt(mode_root, out=mode_root)
     root_m = math.sqrt(cfg.cell_count)
     amp1 = root_m * (sp1.transition_frequency * sp1.dipole_moment * mode_root)
     amp2 = root_m * (sp2.transition_frequency * sp2.dipole_moment * mode_root)

@@ -53,8 +53,7 @@ class CavityConfig:
     as well it is only cross-checked against kappa ~ pi c / (L F); kappa
     wins on disagreement (warning beyond 20%).  ``plane_count`` is the
     number of lattice planes inside the mode (M = plane_count/2 cells);
-    ``occupancy`` the mean atom number per site.  ``mirror_reflectivity``
-    is recorded metadata only, consumed by no formula here.
+    ``occupancy`` the mean atom number per site.
     """
 
     mode_frequency: float          # omega_c [rad/s]
@@ -67,7 +66,6 @@ class CavityConfig:
     commensurate: bool
     occupancy: float = 1.0         # n-bar atoms per site
     finesse: float | None = None
-    mirror_reflectivity: float | None = None
 
     def __post_init__(self):
         if self.linewidth <= 0 or self.length <= 0 or self.waist <= 0:
@@ -82,7 +80,7 @@ class CavityConfig:
                 warnings.warn(
                     f"kappa = {self.linewidth:.4g} rad/s vs pi c/(L F) = "
                     f"{expected:.4g} rad/s disagree by more than 20%; kappa wins",
-                    stacklevel=2,
+                    stacklevel=3,   # past the dataclass __init__ to its caller
                 )
 
     @property

@@ -22,7 +22,11 @@ is a = 2 pi c / omega_0; both lattice species are placed relative to omega_0
 via omega_even / omega_odd.
 
 Output tables are CSV (header row with units in the column names, numbers at
-12 significant digits) or JSON mirroring the same schema.  Transmit and
+12 significant digits) or JSON mirroring the same schema (indent 1, NaN as
+null).  Table values are floats; ``write_table`` formats them a block of rows
+at a time with one ``%.12g`` template and derives each JSON number from the
+same string, byte-identical to per-value ``f"{v:.12g}"`` and to
+``json.dumps(indent=1)`` over the rounded floats.  Transmit and
 cavity tables use exactly the columns (omega_p_rad_s, detuning_gamma, T, R,
 A) resp. (omega_p_rad_s, detuning_gamma, intensity_photons_per_s,
 intensity_norm) for single-geometry runs; grid sweeps prepend the varied
@@ -39,6 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +167,6 @@ _ENGINE_KEYS = {
         "probe_min", "probe_max", "probe_points", "cavity_length", "kappa",
         "finesse", "cavity_waist", "occupancy", "pump", "phase",
         "phase_values", "commensurate", "cavity_detuning",
-        "mirror_reflectivity",
     },
 }
 
@@ -371,7 +375,6 @@ def parse_config(text: str) -> RunConfig:
             phi_values = np.array(phases_entry.floats(_ANGLE_UNITS, "angle"))
         phase = phase_entry.scalar(_ANGLE_UNITS, "angle") if phase_entry else float(phi_values[0])
         finesse_entry = take("finesse")
-        reflect_entry = take("mirror_reflectivity")
         occupancy_entry = take("occupancy")
         pump_entry = take("pump")
         commensurate_entry = take("commensurate")
@@ -387,9 +390,6 @@ def parse_config(text: str) -> RunConfig:
                 commensurate=commensurate_entry.boolean() if commensurate_entry else True,
                 occupancy=occupancy_entry.scalar(None, "count") if occupancy_entry else 1.0,
                 finesse=finesse_entry.scalar(None, "count") if finesse_entry else None,
-                mirror_reflectivity=(
-                    reflect_entry.scalar(None, "count") if reflect_entry else None
-                ),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -412,22 +412,78 @@ def parse_config(text: str) -> RunConfig:
 # table output
 
 
-def _format_number(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+_BLOCK_ROWS = 512   # rows formatted per '%' call; bounds the transient strings
+_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_POSITIONAL_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
 
 
-def _round12(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return None   # JSON has no NaN; mirror CSV's 'nan' as null
-        return float(f"{value:.12g}")
-    return value
+def _json_number(s: str) -> str:
+    """JSON token of a ``%.12g`` string: json.dumps(float(s)), NaN as null.
+
+    Most strings are their own token.  These are not: exponents 12 to 15,
+    which repr writes positionally ('2.4149e+15' -> '2414900000000000.0');
+    exponents -308 and below, where the subnormals are and repr can be
+    shorter ('4.1000000002e-314' -> '4.1e-314'; every exponent starting
+    with -3 takes that path); NaN and the infinities; and integer values
+    ('3' -> '3.0').
+    """
+    if s[-4:] in _POSITIONAL_EXPONENTS:
+        # an integer of at most 12 significant digits, exact as a double,
+        # so its fixed-point form is its repr (and faster to produce)
+        return "%.1f" % float(s)
+    if "e-3" in s:
+        return repr(float(s))
+    if "n" in s:
+        return _NON_FINITE[s]
+    if "e" not in s and "." not in s:
+        return s + ".0"
+    return s
+
+
+def _row_blocks(rows: list, ncol: int, sep: str):
+    """Each block of rows as one string of its %.12g values, joined by ``sep``
+    within a row and by newlines between rows."""
+    row = sep.join(["%.12g"] * ncol)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        yield "\n".join([row] * len(block)) % tuple(chain.from_iterable(block))
+
+
+def _csv_payload(table: Table) -> str:
+    blocks = [",".join(table.columns)]
+    blocks += _row_blocks(table.rows, len(table.columns), ",")
+    return "\n".join(blocks) + "\n"
+
+
+def _json_payload(table: Table) -> str:
+    """The bytes of json.dumps(indent=1) over the table with its values
+    rounded to 12 digits, with the rows laid out here, a block at a time."""
+    ncol = len(table.columns)
+    row = "  [\n   " + ",\n   ".join(["%s"] * ncol) + "\n  ]"
+    blocks = []
+    for text in _row_blocks(table.rows, ncol, "\n"):
+        # a fraction without exponent, or a negative exponent that does
+        # not start with 3, is its own token
+        tokens = [
+            s if "." in s and "e" not in s or "e-" in s and "e-3" not in s
+            else _json_number(s)
+            for s in text.split("\n")
+        ]
+        blocks.append(",\n".join([row] * (len(tokens) // ncol)) % tuple(tokens))
+    rows = "[\n" + ",\n".join(blocks) + "\n ]" if blocks else "[]"
+    head = json.dumps({"columns": table.columns}, indent=1)[:-2]
+    meta = json.dumps({"meta": _jsonable(table.meta)}, indent=1)[2:]
+    return f'{head},\n "rows": {rows},\n{meta}\n'
 
 
 def write_table(table: Table, destination, fmt: str = "csv") -> None:
     """Serialize a sweep table as CSV or JSON (12 significant digits).
+
+    Rows are floats (see ``Table``) and are formatted a block of
+    ``_BLOCK_ROWS`` rows at a time with one ``%.12g`` template; JSON tokens
+    are derived from the same strings.  The bytes are those of formatting
+    every value as ``f"{v:.12g}"`` (CSV) or of ``json.dumps(indent=1)`` over
+    ``float(f"{v:.12g}")`` with NaN as null (JSON).
 
     ``destination`` is a path or '-' for stdout.  If the sweep recorded cell
     errors and the destination is a file, a sidecar ``<dest>.errors.log`` is
@@ -435,17 +491,7 @@ def write_table(table: Table, destination, fmt: str = "csv") -> None:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "csv":
-        lines = [",".join(table.columns)]
-        lines += [",".join(_format_number(v) for v in row) for row in table.rows]
-        payload = "\n".join(lines) + "\n"
-    else:
-        doc = {
-            "columns": table.columns,
-            "rows": [[_round12(v) for v in row] for row in table.rows],
-            "meta": _jsonable(table.meta),
-        }
-        payload = json.dumps(doc, indent=1) + "\n"
+    payload = _csv_payload(table) if fmt == "csv" else _json_payload(table)
     errors = table.meta.get("errors") or []
     if destination in (None, "-"):
         sys.stdout.write(payload)
@@ -470,7 +516,9 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float):
-        return _round12(obj)
+        if math.isnan(obj):
+            return None   # JSON has no NaN; mirror CSV's 'nan' as null
+        return float(f"{obj:.12g}")
     return obj
 
 

@@ -28,7 +28,11 @@ NAN = float("nan")
 
 @dataclass
 class Table:
-    """Column-named rows plus run metadata (grids, errors, peak summaries)."""
+    """Column-named rows plus run metadata (grids, errors, peak summaries).
+
+    Every row value is a float (Python or numpy); ``cli_io.write_table``
+    formats them with ``%.12g`` a block of rows at a time and relies on it.
+    """
 
     columns: list[str]
     rows: list[tuple]

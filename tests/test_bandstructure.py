@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ def test_quasimomentum_folded_with_warning(fiber_lattice):
     with pytest.warns(UserWarning, match="folded"):
         bm = build_bloch_matrix(0.75 * g0, fiber_lattice, n_bz=4)
     assert bm.quasi_momentum == pytest.approx(-0.25 * g0)
+
+
+def test_subnormal_quasimomentum_assembles_without_warning():
+    # 1/omega_k of the G = 0 mode overflows here (at q = 1e-300 rad/m the
+    # product underflows to 0 instead); the mode is below the infrared cutoff
+    cfg = parse_config(bundled_config_text("fig4")).sweep.lattice
+    q = 1.05e-273 * cfg.reciprocal_vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_bloch_matrix(q, cfg).matrix
+    assert np.all(np.isfinite(h))
+    assert np.allclose(h, build_bloch_matrix(0.0, cfg).matrix)
 
 
 def test_decoupled_limit_gives_bare_frequencies(omega0):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import linecache
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,8 +57,13 @@ def test_cavity_config_validation(omega0):
 
 def test_finesse_consistency_warns_on_paper_numbers(omega0):
     # kappa = 2 pi x 21 kHz vs pi c/(L F) = 6.5e4 rad/s disagree by ~2x
-    with pytest.warns(UserWarning, match="kappa"):
+    with pytest.warns(UserWarning, match="kappa") as record:
         make_cavity(omega0, phase=0.0, finesse=170_000)
+    # reported at the line that builds the CavityConfig, not in the
+    # dataclass-generated __init__ ('<string>')
+    (warning,) = record
+    assert Path(warning.filename).name == "conftest.py"
+    assert "CavityConfig(" in linecache.getline(warning.filename, warning.lineno)
 
 
 def test_commensurate_order_parity(omega0, cell_size):

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilattice.cli_io import (
     BUNDLED_CONFIGS,
     ConfigError,
     RunConfig,
+    _jsonable,
     bundled_config_text,
     main,
     parse_config,
@@ -189,6 +192,79 @@ def test_nan_rows_round_trip_and_sidecar_log(tmp_path):
     assert log.exists() and "boom" in log.read_text()
 
 
+# The per-value rules the block writer must reproduce byte for byte.
+
+
+def oracle_csv(table: Table) -> str:
+    lines = [",".join(table.columns)]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(table: Table) -> str:
+    def round12(v):
+        return None if math.isnan(v) else float(f"{v:.12g}")
+
+    doc = {
+        "columns": table.columns,
+        "rows": [[round12(v) for v in row] for row in table.rows],
+        "meta": _jsonable(table.meta),
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 3.0, -7.0,
+    # exponents 11 to 16; 999999999999.6 rounds up to 1e+12
+    1e11, 123456789012.0, 999999999999.6, 1.5e12, 3.3e13, 4.4e14, 2.4149e15,
+    1.23456789012345e15, -9.87654321098765e15, 1e16, 7.25e16,
+    1e300, 1.7976931348623157e308, 1e-05, -1.23e-5, 0.1, 1 / 3, -1.5e-7, -2.5e-35,
+    # exponent -300, the smallest normal double, two subnormals
+    1e-300, 2.2250738585072014e-308, 4.1e-314, 5e-324,
+    np.float64(1 / 3), np.float64(2.4149e15), np.float64(-0.0), np.float64(4.1e-314),
+]
+
+
+def edge_table(n_rows: int = 1100) -> Table:
+    # every value in every column, over more than two 512-row blocks
+    n = len(EDGE_VALUES)
+    rows = [tuple(EDGE_VALUES[(i + j) % n] for j in range(3)) for i in range(n_rows)]
+    return Table(["x", "y", "z"], rows, {"engine": "test", "grid": [0.5, math.nan]})
+
+
+@pytest.mark.parametrize("fmt, oracle", [("csv", oracle_csv), ("json", oracle_json)])
+def test_block_writer_matches_per_value_rules_on_edge_values(tmp_path, fmt, oracle):
+    for table in (edge_table(), edge_table(5), Table(["x", "y"], [])):
+        path = tmp_path / f"t.{fmt}"
+        write_table(table, path, fmt)
+        assert path.read_bytes() == oracle(table).encode("utf-8")
+
+
+@pytest.mark.parametrize("name, fmt, oracle", [("fig8", "csv", oracle_csv), ("fig9", "json", oracle_json)])
+def test_block_writer_matches_per_value_rules_on_bundled_tables(tmp_path, name, fmt, oracle):
+    table = run_sweep(parse_config(bundled_config_text(name)).sweep)
+    path = tmp_path / f"{name}.{fmt}"
+    write_table(table, path, fmt)
+    assert path.read_bytes() == oracle(table).encode("utf-8")
+
+
+doubles = st.one_of(st.floats(), st.floats(-1e-300, 1e-300), st.floats(-1e17, 1e17))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(doubles, doubles), min_size=1, max_size=30),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_round_trip_returns_12_digit_values(tmp_path_factory, rows, fmt):
+    path = tmp_path_factory.mktemp("round_trip") / f"t.{fmt}"
+    write_table(Table(["a", "b"], rows), path, fmt)
+    back = read_table(path)
+    # repr tells -0.0 from 0.0 and compares NaN equal to itself
+    expected = [[repr(float(f"{v:.12g}")) for v in row] for row in rows]
+    assert [[repr(v) for v in row] for row in back.rows] == expected
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -225,9 +301,15 @@ def test_cli_engine_mismatch_is_config_error(tmp_path, capsys):
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL_TRANSMIT + "mystery = 1\n")
-    assert run_cli(["transmit", "--config", str(cfg)]) == 1
-    assert "config error" in capsys.readouterr().err
+    for command, text in (
+        ("transmit", MINIMAL_TRANSMIT + "mystery = 1\n"),
+        # no longer a key: it was metadata that no formula read
+        ("cavity", bundled_config_text("fig9") + "mirror_reflectivity = 0.999982\n"),
+    ):
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown key" in err
 
 
 @pytest.mark.parametrize(
