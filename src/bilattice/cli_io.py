@@ -15,11 +15,18 @@ physical quantity carries an explicit unit suffix:
 * quasi-momenta: ``G0`` (multiples of the reciprocal vector) or ``rad/m``.
 
 ``*_values`` keys accept comma-separated lists sharing one trailing unit.
-Unknown keys are rejected; each engine has its own required-key set.  The
-reference chain: the named species fixes (omega_atom, gamma); the lattice
-light sits at omega_0 = omega_atom + lattice_detuning x gamma; the cell size
-is a = 2 pi c / omega_0; both lattice species are placed relative to omega_0
-via omega_even / omega_odd.
+Every number must be finite.  Unknown keys are rejected; each engine has its
+own required-key set.  The reference chain: the named species fixes
+(omega_atom, gamma); the lattice light sits at omega_0 = omega_atom +
+lattice_detuning x gamma; the cell size is a = 2 pi c / omega_0; both
+lattice species are placed relative to omega_0 via omega_even / omega_odd.
+
+The lattice has one density, n_s atoms per unit area of each plane.  The
+``bands``, ``gaps`` and ``transmit`` engines take exactly one of
+``areal_density`` and ``waist`` (one atom per site over the mode area
+pi w^2 / 4, so n_s = 4 / (pi w^2)); the ``cavity`` engine takes neither, and
+its lattice carries the density its coupling implies, n_s = occupancy /
+(pi w_c^2 / 4).
 
 Output tables are CSV (header row with units in the column names, numbers at
 12 significant digits) or JSON mirroring the same schema (indent 1, NaN as
@@ -119,12 +126,15 @@ class _Entry:
         if unit_map is None:
             if unit is not None:
                 self.fail(f"{kind} takes no unit, got {unit!r}")
-            return numbers
-        if unit is None:
+        elif unit is None:
             self.fail(f"missing {kind} unit (one of {', '.join(unit_map)})")
-        if unit not in unit_map:
+        elif unit not in unit_map:
             self.fail(f"unknown {kind} unit {unit!r} (one of {', '.join(unit_map)})")
-        return [x * unit_map[unit] for x in numbers]
+        else:
+            numbers = [x * unit_map[unit] for x in numbers]
+        if not all(map(math.isfinite, numbers)):
+            self.fail(f"expected finite number(s), got {self.value!r}")
+        return numbers
 
     def scalar(self, unit_map, kind) -> float:
         values = self.floats(unit_map, kind)
@@ -155,14 +165,13 @@ _ENGINE_KEYS = {
         "engine", "species", "wavelength", "linewidth", "lattice_detuning",
         "omega_even", "omega_odd", "gamma_even", "gamma_odd", "rho",
         "rho_values", "rho_min", "rho_max", "rho_points", "cells", "planes",
-        "areal_density", "workers",
     },
-    "bands": {"waist", "n_bz", "n_q", "q_max"},
+    "bands": {"areal_density", "waist", "n_bz", "n_q", "q_max"},
     "gaps": {
-        "waist", "n_bz", "n_q", "window_min", "window_max", "cover_tol",
-        "min_band_width",
+        "areal_density", "waist", "n_bz", "n_q", "window_min", "window_max",
+        "cover_tol", "min_band_width",
     },
-    "transmit": {"probe_min", "probe_max", "probe_points"},
+    "transmit": {"areal_density", "waist", "probe_min", "probe_max", "probe_points"},
     "cavity": {
         "probe_min", "probe_max", "probe_points", "cavity_length", "kappa",
         "finesse", "cavity_waist", "occupancy", "pump", "phase",
@@ -277,80 +286,12 @@ def parse_config(text: str) -> RunConfig:
     else:
         raise ConfigError("missing required key 'cells' (or 'planes')")
 
-    areal_entry = take("areal_density")
-    if areal_entry is not None:
-        areal_density = areal_entry.scalar(_AREAL_UNITS, "areal density")
-    elif engine == "transmit":
-        raise ConfigError("missing required key 'areal_density'")
-    else:
-        areal_density = 1.0   # inert: bands/gaps/cavity engines never consume n_s
-
-    waist_entry = take("waist")
-    if waist_entry is not None:
-        waist = waist_entry.scalar(length_units, "length")
-        mode_area = math.pi * waist**2 / 4.0
-    elif engine in ("bands", "gaps"):
-        raise ConfigError(f"missing required key 'waist' for engine {engine!r}")
-    else:
-        mode_area = 1.0       # inert: transfer-matrix/cavity engines never quantize
-
-    try:
-        lattice = LatticeConfig(
-            cell_size=cell_size,
-            intracell_distance=rho,
-            cell_count=cell_count,
-            areal_density=areal_density,
-            species_even=species_even,
-            species_odd=species_odd,
-            mode_area=mode_area,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    workers_entry = take("workers")
-    workers = workers_entry.integer() if workers_entry else 1
-    if workers < 1:
-        raise ConfigError("'workers' must be >= 1")
-
     spec_kwargs = dict(
         engine=engine,
-        lattice=lattice,
         reference_frequency=omega0,
         reference_linewidth=gamma_ref,
         rho_values=rho_values,
-        workers=workers,
     )
-
-    if engine in ("bands", "gaps"):
-        for key, attr in (("n_bz", "n_bz"), ("n_q", "n_q")):
-            entry = take(key)
-            if entry is not None:
-                spec_kwargs[attr] = entry.integer()
-        if engine == "bands":
-            entry = take("q_max")
-            if entry is not None:
-                g0 = lattice.reciprocal_vector
-                spec_kwargs["q_max"] = entry.scalar(
-                    {"G0": g0, "rad/m": 1.0}, "quasi-momentum"
-                )
-        else:
-            gamma_units = {"gamma": gamma_ref}
-            wmin, wmax = take("window_min"), take("window_max")
-            if (wmin is None) != (wmax is None):
-                raise ConfigError("give both or neither of window_min/window_max")
-            if wmin is not None:
-                low = wmin.scalar(gamma_units, "detuning")
-                high = wmax.scalar(gamma_units, "detuning")
-                if high <= low:
-                    wmax.fail("must exceed window_min")
-                spec_kwargs["window"] = (omega0 + low, omega0 + high)
-            for key in ("cover_tol", "min_band_width"):
-                entry = take(key)
-                if entry is not None:
-                    value = entry.scalar(gamma_units, "detuning")
-                    if value < 0:
-                        entry.fail("must be >= 0")
-                    spec_kwargs[key] = value
 
     if engine in ("transmit", "cavity"):
         gamma_units = {"gamma": gamma_ref}
@@ -395,6 +336,70 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(str(exc)) from None
         spec_kwargs["cavity"] = cavity
         spec_kwargs["phi_values"] = phi_values
+
+    # --- the one lattice density n_s [m^-2] ---
+    if engine == "cavity":
+        # the density the cavity coupling implies: n-bar atoms per site over
+        # the mode area pi w_c^2 / 4
+        areal_density = cavity.occupancy / (math.pi * cavity.waist**2 / 4.0)
+    else:
+        areal_entry, waist_entry = take("areal_density"), take("waist")
+        if (areal_entry is None) == (waist_entry is None):
+            raise ConfigError(
+                f"give exactly one of 'areal_density' and 'waist' for engine {engine!r}"
+            )
+        if areal_entry is not None:
+            areal_density = areal_entry.scalar(_AREAL_UNITS, "areal density")
+        else:
+            # one atom per site over the mode area pi w^2 / 4
+            waist = waist_entry.scalar(length_units, "length")
+            if waist <= 0:
+                waist_entry.fail("must be positive")
+            areal_density = 4.0 / (math.pi * waist**2)
+
+    try:
+        lattice = LatticeConfig(
+            cell_size=cell_size,
+            intracell_distance=rho,
+            cell_count=cell_count,
+            areal_density=areal_density,
+            species_even=species_even,
+            species_odd=species_odd,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    spec_kwargs["lattice"] = lattice
+
+    if engine in ("bands", "gaps"):
+        for key, attr in (("n_bz", "n_bz"), ("n_q", "n_q")):
+            entry = take(key)
+            if entry is not None:
+                spec_kwargs[attr] = entry.integer()
+        if engine == "bands":
+            entry = take("q_max")
+            if entry is not None:
+                g0 = lattice.reciprocal_vector
+                spec_kwargs["q_max"] = entry.scalar(
+                    {"G0": g0, "rad/m": 1.0}, "quasi-momentum"
+                )
+        else:
+            gamma_units = {"gamma": gamma_ref}
+            wmin, wmax = take("window_min"), take("window_max")
+            if (wmin is None) != (wmax is None):
+                raise ConfigError("give both or neither of window_min/window_max")
+            if wmin is not None:
+                low = wmin.scalar(gamma_units, "detuning")
+                high = wmax.scalar(gamma_units, "detuning")
+                if high <= low:
+                    wmax.fail("must exceed window_min")
+                spec_kwargs["window"] = (omega0 + low, omega0 + high)
+            for key in ("cover_tol", "min_band_width"):
+                entry = take(key)
+                if entry is not None:
+                    value = entry.scalar(gamma_units, "detuning")
+                    if value < 0:
+                        entry.fail("must be >= 0")
+                    spec_kwargs[key] = value
 
     unused = [e.key for e in entries.values() if not e.used]
     if unused:
@@ -580,8 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config file path or bundled name (fig2a ... fig10)")
         p.add_argument("--out", default="-", help="output file ('-' = stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=None,
-                       help="override the config's worker count")
     return parser
 
 
@@ -594,18 +597,11 @@ def main(argv=None) -> int:
                 f"subcommand {args.command!r} does not match config engine "
                 f"{cfg.engine!r}; use 'scan' to defer to the config"
             )
-        spec = cfg.sweep
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("'--workers' must be >= 1")
-            import dataclasses
-
-            spec = dataclasses.replace(spec, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        table = run_sweep(spec)
+        table = run_sweep(cfg.sweep)
         write_table(table, args.out, args.format)
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, OSError) as exc:
         print(f"numeric/runtime failure: {exc}", file=sys.stderr)

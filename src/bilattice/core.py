@@ -103,8 +103,11 @@ class LatticeConfig:
     """Biperiodic lattice: two atomic planes per cell of size ``cell_size``.
 
     Plane positions are x_{2l} = l*a and x_{2l+1} = l*a + rho for
-    l = 0..cell_count-1 (N = 2M planes).  ``mode_area`` is the effective
-    transverse area of the 1D quantization volume V = mode_area * M * a.
+    l = 0..cell_count-1 (N = 2M planes).  ``areal_density`` n_s, the atoms
+    per unit area of each plane, is the lattice's one density: it sets the
+    sheet response xi = 2 pi k_p n_s alpha of the transfer matrix and, with
+    one atom per site per 1/n_s of area, the 1D quantization volume
+    V = M a / n_s of the Bloch coupled-mode matrix.
     """
 
     cell_size: float                     # a [m]
@@ -113,15 +116,14 @@ class LatticeConfig:
     areal_density: float                 # n_s [m^-2]
     species_even: AtomSpecies
     species_odd: AtomSpecies
-    mode_area: float                     # A_eff [m^2]
 
     def __post_init__(self):
         if not 0.0 <= self.intracell_distance <= self.cell_size:
             raise ValueError("intracell distance must satisfy 0 <= rho <= a")
         if self.cell_count < 1:
             raise ValueError("need at least one cell")
-        if self.areal_density <= 0 or self.mode_area <= 0:
-            raise ValueError("areal density and mode area must be positive")
+        if not 0.0 < self.areal_density < math.inf:
+            raise ValueError("areal density must be positive and finite")
 
     @property
     def plane_count(self) -> int:
@@ -139,7 +141,8 @@ class LatticeConfig:
 
     @property
     def quantization_volume(self) -> float:
-        return self.mode_area * self.cell_count * self.cell_size
+        """V = M a / n_s [m^3]: one atom per site per 1/n_s of area."""
+        return self.cell_count * self.cell_size / self.areal_density
 
     def plane_positions(self):
         cells = np.arange(self.cell_count) * self.cell_size
@@ -201,7 +204,7 @@ def freespace_coupling(species: AtomSpecies, omega_k: float, volume: float) -> f
     """Single-atom coupling |G| [rad/s] to a propagating mode at omega_k.
 
     |G| = omega_j |D_j| sqrt(1 / (2 V eps0 hbar omega_k)); the collective
-    coupling sqrt(M)|G| is M-independent when V = A_eff * M * a.
+    coupling sqrt(M)|G| is M-independent when V = M a / n_s.
     """
     if omega_k <= 0 or volume <= 0:
         raise ValueError("mode frequency and volume must be positive")

@@ -1,17 +1,15 @@
 """Parameter-sweep orchestration: one engine, a grid, a deterministic table.
 
 Grid cells (one rho, or one (rho, phi) pair for the cavity) are pure-function
-evaluations and run either serially or on a thread pool; the transmit and
-cavity engines evaluate a cell's whole probe grid in one call.  Rows are
-always assembled in lexicographic grid order, so the output is byte-identical
-for any worker count.  A failing cell or probe point contributes NaN-marked
-rows and an entry in the table's error list instead of aborting the sweep
-(unless fail_fast is set).
+evaluations, run one after the other in lexicographic grid order; the
+transmit and cavity engines evaluate a cell's whole probe grid in one call.
+A failing cell or probe point contributes NaN-marked rows and an entry in
+the table's error list instead of aborting the sweep (unless fail_fast is
+set).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +63,6 @@ class SweepSpec:
     window: tuple[float, float] | None = None  # rad/s, gaps engine
     cover_tol: float | None = None
     min_band_width: float = 0.0
-    workers: int = 1
     fail_fast: bool = False
 
     def __post_init__(self):
@@ -92,7 +89,7 @@ class SweepSpec:
 
 
 def _map_cells(spec: SweepSpec, cells, worker):
-    """Evaluate worker(cell) over all cells, order-preserving, error-tolerant."""
+    """(worker(cell), None) or (None, error text) for each cell, in order."""
     def guarded(cell):
         try:
             return worker(cell), None
@@ -101,9 +98,6 @@ def _map_cells(spec: SweepSpec, cells, worker):
                 raise
             return None, f"{type(exc).__name__}: {exc}"
 
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            return list(pool.map(guarded, cells))
     return [guarded(cell) for cell in cells]
 
 
@@ -210,6 +204,8 @@ def _transmit_table(spec: SweepSpec) -> Table:
         columns, [], {"engine": "transmit", "rho_values": list(map(float, rhos))}
     )
     grid = np.asarray(spec.probe_grid, dtype=float)
+    # the detuning axis of spectrum_scan, kept by a failed cell's rows
+    detuning = (grid - cfg.species_even.transition_frequency) / cfg.species_even.linewidth
 
     def run(rho):
         local = cfg.replace(intracell_distance=float(rho))
@@ -223,7 +219,7 @@ def _transmit_table(spec: SweepSpec) -> Table:
         if err is not None:
             table.errors.append({"rho": float(rho), "error": err})
             nan = np.full(grid.shape, NAN)
-            table.rows.extend(_rows(prefix, grid, nan, nan, nan, nan))
+            table.rows.extend(_rows(prefix, grid, detuning, nan, nan, nan))
             continue
         for i, msg in result.errors.items():
             table.errors.append(
@@ -287,9 +283,9 @@ def _cavity_table(spec: SweepSpec) -> Table:
 def run_sweep(spec: SweepSpec) -> Table:
     """Run the sweep described by ``spec`` and return its table.
 
-    Row order is the lexicographic grid order of the spec regardless of the
-    worker count; failed cells yield NaN rows plus ``table.meta['errors']``
-    entries unless spec.fail_fast is set.
+    Rows come in the lexicographic grid order of the spec; failed cells
+    yield NaN rows plus ``table.meta['errors']`` entries unless
+    spec.fail_fast is set.
     """
     if spec.engine == "bands":
         return _bands_table(spec)

@@ -37,7 +37,6 @@ def make_lattice(
     areal_density=5.7e-2 * 1e12,
     detuning_even=-10.0,
     detuning_odd=-10.0,
-    waist=5e-6,
 ):
     """Lattice with species placed at omega0 + detuning*gamma, a = lambda0."""
     a = TWO_PI * C / omega0
@@ -50,7 +49,6 @@ def make_lattice(
         areal_density=areal_density,
         species_even=even,
         species_odd=odd,
-        mode_area=math.pi * waist**2 / 4.0,
     )
 
 
@@ -62,8 +60,9 @@ def probe_lattice(omega0):
 
 @pytest.fixture(scope="session")
 def fiber_lattice(omega0):
-    """The band-structure setup: hollow fiber with 5 um waist, M = 100 cells."""
-    return make_lattice(omega0, cells=100)
+    """The band-structure setup: hollow fiber with 5 um waist, M = 100 cells,
+    one atom per site over the mode area pi w^2 / 4."""
+    return make_lattice(omega0, cells=100, areal_density=4.0 / (math.pi * (5e-6) ** 2))
 
 
 def make_cavity(omega0, phase, planes=200, occupancy=3000.0, pump=1.0, **kwargs):

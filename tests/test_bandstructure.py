@@ -38,7 +38,6 @@ def decoupled_lattice(omega0, rho_frac=0.2):
         areal_density=5.7e10,
         species_even=dark,
         species_odd=dark,
-        mode_area=math.pi * (5e-6) ** 2 / 4,
     )
 
 
@@ -230,6 +229,28 @@ def test_inertia_count_matches_eigvalsh(omega0, rho_frac, q_frac, detuning, spec
     atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
     count = _count_below(np.array([[omega]]), omega_k, _coupling_weights(c1, c2), atoms)
     assert count[0, 0] == np.count_nonzero(evals < omega)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rho_frac=st.floats(0.0, 1.0),
+    q_frac=st.floats(-0.5, 0.5),
+    detuning=st.floats(-800.0, 800.0),
+    species=st.sampled_from([(-10.0, -10.0), (-10.0, 530.0), (-530.0, 530.0)]),
+)
+def test_inertia_count_symmetric_under_q_reversal(omega0, rho_frac, q_frac, detuning, species):
+    # H(-q) is conj H(q) with the photon modes m and -m swapped, so both
+    # have the same spectrum and the same count below any omega
+    n_bz = 40
+    cfg = make_lattice(
+        omega0, cells=100, rho_frac=rho_frac, detuning_even=species[0], detuning_odd=species[1]
+    )
+    q = q_frac * cfg.reciprocal_vector
+    omega = cfg.bragg_frequency + detuning * GAMMA
+    omega_k, c1, c2 = _arrowhead(cfg, np.array([q, -q]), n_bz, _default_ir_cutoff(cfg))
+    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
+    count = _count_below(np.full((2, 1), omega), omega_k, _coupling_weights(c1, c2), atoms)
+    assert count[0, 0] == count[1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from bilattice.cli_io import (
     write_table,
 )
 from bilattice.constants import C, TWO_PI
+from bilattice.core import cavity_coupling
 from bilattice.sweep import Table, run_sweep
 
 from conftest import GAMMA
@@ -129,6 +130,54 @@ def test_bundled_fig6_reproduces_published_setup():
     assert lat.cell_count == 500_000
     assert lat.intracell_distance == 0.0
     assert lat.areal_density == pytest.approx(5.7e10)
+
+
+# ---------------------------------------------------------------------------
+# the one lattice density n_s
+
+
+def test_waist_maps_to_one_atom_per_mode_area():
+    lat = parse_config(bundled_config_text("fig2b")).sweep.lattice
+    mode_area = math.pi * (5e-6) ** 2 / 4.0
+    assert lat.areal_density == pytest.approx(1.0 / mode_area, rel=1e-12)
+    assert lat.quantization_volume == pytest.approx(
+        mode_area * lat.cell_count * lat.cell_size, rel=1e-12
+    )
+    text = MINIMAL_TRANSMIT.replace("areal_density = 5.7e-2 um^-2", "waist = 5 um")
+    assert parse_config(text).sweep.lattice.areal_density == lat.areal_density
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        MINIMAL_TRANSMIT + "waist = 5 um\n",
+        bundled_config_text("fig2a") + "areal_density = 5.7e-2 um^-2\n",
+        bundled_config_text("fig4").replace("waist = 5 um\n", ""),
+    ],
+    ids=["transmit_both", "bands_both", "gaps_neither"],
+)
+def test_density_needs_exactly_one_of_areal_density_and_waist(text):
+    with pytest.raises(ConfigError, match="exactly one of 'areal_density' and 'waist'"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("waist", ["0 um", "-5 um"])
+def test_waist_must_be_positive(waist):
+    text = bundled_config_text("fig2b").replace("waist = 5 um", f"waist = {waist}")
+    with pytest.raises(ConfigError, match="line 8: key 'waist': must be positive"):
+        parse_config(text)
+
+
+def test_cavity_lattice_carries_the_density_of_its_coupling():
+    # n-bar g^2 = sigma gamma FSR n_s / (4 pi) with FSR = 2 pi c / L
+    spec = parse_config(bundled_config_text("fig9")).sweep
+    cav, lat = spec.cavity, spec.lattice
+    sp = lat.species_even
+    fsr = TWO_PI * C / cav.length
+    assert cav.occupancy * cavity_coupling(sp, cav) ** 2 == pytest.approx(
+        sp.cross_section * sp.linewidth * fsr * lat.areal_density / (4.0 * math.pi),
+        rel=1e-12,
+    )
 
 
 def test_bundled_fig9_cavity_setup():
@@ -305,11 +354,42 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("transmit", MINIMAL_TRANSMIT + "mystery = 1\n"),
         # no longer a key: it was metadata that no formula read
         ("cavity", bundled_config_text("fig9") + "mirror_reflectivity = 0.999982\n"),
+        # no longer a key: sweeps run their cells one after the other
+        ("transmit", MINIMAL_TRANSMIT + "workers = 2\n"),
+        # the cavity lattice takes its density from the cavity coupling
+        ("cavity", bundled_config_text("fig9") + "areal_density = 5.7e-2 um^-2\n"),
+        ("cavity", bundled_config_text("fig9") + "waist = 5 um\n"),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("planes = 1000", "planes = inf"),
+        ("planes = 1000", "planes = nan"),
+        ("probe_min = -50 gamma", "probe_min = nan gamma"),
+        ("areal_density = 5.7e-2 um^-2", "areal_density = inf um^-2"),
+        ("lattice_detuning = 10 gamma", "lattice_detuning = inf gamma"),
+    ],
+    ids=[
+        "planes_inf", "planes_nan", "probe_min_nan", "areal_density_inf",
+        "lattice_detuning_inf",
+    ],
+)
+def test_cli_non_finite_number_exit_code(tmp_path, capsys, edit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_TRANSMIT.replace(*edit))
+    out = tmp_path / "out.csv"
+    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err and "Traceback" not in err
+    key = edit[1].split(" =")[0]
+    assert f"key {key!r}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -339,15 +419,6 @@ def test_cli_unwritable_output_is_numeric_failure_code(tmp_path, capsys):
     cfg.write_text(MINIMAL_TRANSMIT)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli(["transmit", "--config", str(cfg), "--out", str(missing_dir)]) == 2
-
-
-def test_cli_workers_override_keeps_output_identical(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL_TRANSMIT)
-    out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out8), "--workers", "8"]) == 0
-    assert out1.read_bytes() == out8.read_bytes()
 
 
 def test_every_bundled_config_runs_end_to_end(tmp_path):

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from bilattice import cavity as cavity_mod
+from bilattice import cavity as cavity_mod, transfer_matrix
 from bilattice.sweep import SweepSpec, run_sweep
 
 from conftest import GAMMA, make_cavity, make_lattice
 
 
-def transmit_spec(omega0, workers=1, rhos=None, probe=None, **kw):
+def transmit_spec(omega0, rhos=None, probe=None, **kw):
     lat = make_lattice(omega0, cells=2000)
     w1 = lat.species_even.transition_frequency
     if probe is None:
@@ -25,7 +25,6 @@ def transmit_spec(omega0, workers=1, rhos=None, probe=None, **kw):
         reference_linewidth=GAMMA,
         probe_grid=np.asarray(probe),
         rho_values=None if rhos is None else np.asarray(rhos),
-        workers=workers,
         **kw,
     )
 
@@ -54,13 +53,6 @@ def test_transmit_rho_grid_prepends_coordinate(omega0):
     assert table.columns[0] == "rho_over_a"
     assert len(table.rows) == 3 * 41
     assert sorted(set(r[0] for r in table.rows)) == pytest.approx([0.0, 0.2, 0.24])
-
-
-def test_worker_count_does_not_change_output(omega0):
-    t1 = run_sweep(transmit_spec(omega0, workers=1))
-    t8 = run_sweep(transmit_spec(omega0, workers=8))
-    assert t1.columns == t8.columns
-    assert t1.rows == t8.rows   # bit-identical
 
 
 def test_failed_cells_marked_nan_and_logged(omega0):
@@ -100,6 +92,20 @@ def test_failed_point_lands_at_its_rho_and_frequency(omega0):
     assert all("positive" in e["error"] for e in table.errors)
     with pytest.raises(ValueError, match="positive"):
         run_sweep(transmit_spec(omega0, rhos=rhos, probe=probe, fail_fast=True))
+
+
+def test_failed_transmit_cell_keeps_its_detuning_column(omega0, monkeypatch):
+    def failing(cfg, probe_grid):
+        raise RuntimeError("injected")
+
+    good = run_sweep(transmit_spec(omega0))
+    monkeypatch.setattr(transfer_matrix, "spectrum_scan", failing)
+    table = run_sweep(transmit_spec(omega0))
+    assert table.columns == ["omega_p_rad_s", "detuning_gamma", "T", "R", "A"]
+    assert len(table.rows) == 41
+    assert table.errors == [{"rho": 0.0, "error": "RuntimeError: injected"}]
+    assert [r[:2] for r in table.rows] == [r[:2] for r in good.rows]   # bit-identical
+    assert all(math.isnan(v) for r in table.rows for v in r[2:])
 
 
 def test_failed_cavity_cell_keeps_one_row_per_probe_point(omega0, monkeypatch):
