@@ -45,7 +45,7 @@ from .core import (
     polarizability,
     xi_parameter,
 )
-from .sweep import SweepSpec, Table, run_sweep
+from .sweep import Cell, SweepSpec, Table, run_sweep
 from .transfer_matrix import (
     ScatterMatrix,
     Spectrum,
@@ -66,6 +66,7 @@ __all__ = [
     "BandStructure",
     "BlochMatrix",
     "CavityConfig",
+    "Cell",
     "Gap",
     "LatticeConfig",
     "ScatterMatrix",

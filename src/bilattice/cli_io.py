@@ -30,14 +30,18 @@ its lattice carries the density its coupling implies, n_s = occupancy /
 
 Output tables are CSV (header row with units in the column names, numbers at
 12 significant digits) or JSON mirroring the same schema (indent 1, NaN as
-null).  Table values are floats; ``write_table`` formats them a block of rows
-at a time with one ``%.12g`` template and derives each JSON number from the
-same string, byte-identical to per-value ``f"{v:.12g}"`` and to
-``json.dumps(indent=1)`` over the rounded floats.  Transmit and
-cavity tables use exactly the columns (omega_p_rad_s, detuning_gamma, T, R,
-A) resp. (omega_p_rad_s, detuning_gamma, intensity_photons_per_s,
-intensity_norm) for single-geometry runs; grid sweeps prepend the varied
-coordinates.
+null).  Table values are floats, held as cells (see ``sweep.Table``): a
+constant prefix per grid cell plus column arrays, some of them shared by
+every cell.  ``write_table`` formats each prefix once per cell and each
+distinct column once per table with one ``%.12g`` template per call (a shared
+column whole, any other 512 rows at a time), derives each JSON number from
+the same string, and joins the per-column strings into rows, byte-identical
+to per-value ``f"{v:.12g}"`` and to ``json.dumps(indent=1)`` over the rounded
+floats.  Cell errors go to a ``<out>.errors.log`` sidecar, or to stderr when
+the table goes to stdout.  Transmit and cavity tables use exactly the
+columns (omega_p_rad_s, detuning_gamma, T, R, A) resp. (omega_p_rad_s,
+detuning_gamma, intensity_photons_per_s, intensity_norm) for single-geometry
+runs; grid sweeps prepend the varied coordinates.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -48,9 +52,9 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -417,7 +421,7 @@ def parse_config(text: str) -> RunConfig:
 # table output
 
 
-_BLOCK_ROWS = 512   # rows formatted per '%' call; bounds the transient strings
+_BLOCK_ROWS = 512   # rows laid out at a time; bounds the transient strings
 _NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _POSITIONAL_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
 
@@ -434,8 +438,8 @@ def _json_number(s: str) -> str:
     """
     if s[-4:] in _POSITIONAL_EXPONENTS:
         # an integer of at most 12 significant digits, exact as a double,
-        # so its fixed-point form is its repr (and faster to produce)
-        return "%.1f" % float(s)
+        # so its fixed-point form is its repr (and '%d' is faster to produce)
+        return "%d.0" % float(s)
     if "e-3" in s:
         return repr(float(s))
     if "n" in s:
@@ -445,70 +449,125 @@ def _json_number(s: str) -> str:
     return s
 
 
-def _row_blocks(rows: list, ncol: int, sep: str):
-    """Each block of rows as one string of its %.12g values, joined by ``sep``
-    within a row and by newlines between rows."""
-    row = sep.join(["%.12g"] * ncol)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        yield "\n".join([row] * len(block)) % tuple(chain.from_iterable(block))
+def _formatted(values) -> str:
+    """A column's values as %.12g strings, one per line, from one '%' call."""
+    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    return "\n".join(["%.12g"] * len(values)) % values
+
+
+def _csv_tokens(values) -> list[str]:
+    """The CSV tokens of a column's values: its %.12g strings."""
+    return _formatted(values).split("\n") if len(values) else []
+
+
+def _json_tokens(values) -> list[str]:
+    """The JSON tokens of a column's values (see ``_json_number``)."""
+    if not len(values):
+        return []
+    text = _formatted(values)
+    strings = text.split("\n")
+    if text.count(".") == len(strings) and "e+1" not in text and "e-3" not in text:
+        # each string has its one '.', so none is an integer, NaN or an
+        # infinity, and none has an exponent that _json_number rewrites
+        return strings
+    # a fraction without exponent, or a negative exponent that does not
+    # start with 3, is its own token
+    return [
+        s if "." in s and "e" not in s or "e-" in s and "e-3" not in s
+        else _json_number(s)
+        for s in strings
+    ]
+
+
+def _cell_texts(table: Table, tokens, sep: str, start: str, end: str, between: str):
+    """Each non-empty cell's rows, each row ``start`` + its tokens joined by
+    ``sep`` + ``end``, the rows joined by ``between``.
+
+    ``tokens`` maps a sequence of values to their output strings.  A cell's
+    prefix is formatted once, and each distinct column object once for the
+    whole table: a column that several cells (or one cell twice) pass is
+    formatted whole and kept, any other a block of ``_BLOCK_ROWS`` rows at a
+    time.  The rows are the per-column strings joined side by side.
+    """
+    cells = table.cells
+    uses = Counter(id(column) for cell in cells for column in cell.columns)
+    shared = {}   # id(column) -> its strings, for a column passed more than once
+
+    def strings(column, lo: int, hi: int) -> list[str]:
+        if uses[id(column)] == 1:
+            return tokens(column[lo:hi])
+        if id(column) not in shared:
+            shared[id(column)] = tokens(column)
+        return shared[id(column)][lo:hi]
+
+    for prefix, columns in cells:
+        n = len(columns[0]) if columns else 0
+        if n == 0:
+            continue
+        if len(prefix) + len(columns) != len(table.columns) or any(len(c) != n for c in columns):
+            raise ValueError(
+                f"a cell of {len(prefix)} prefix values and columns of lengths "
+                f"{[len(c) for c in columns]} in a table of {len(table.columns)} columns"
+            )
+        lead = start + "".join(s + sep for s in tokens(prefix))
+        row_sep = end + between + lead
+        blocks = (
+            row_sep.join(map(sep.join, zip(*(strings(c, lo, lo + _BLOCK_ROWS) for c in columns))))
+            for lo in range(0, n, _BLOCK_ROWS)
+        )
+        yield lead + row_sep.join(blocks) + end
 
 
 def _csv_payload(table: Table) -> str:
-    blocks = [",".join(table.columns)]
-    blocks += _row_blocks(table.rows, len(table.columns), ",")
-    return "\n".join(blocks) + "\n"
+    cells = _cell_texts(table, _csv_tokens, ",", "", "", "\n")
+    return "\n".join([",".join(table.columns), *cells, ""])
 
 
 def _json_payload(table: Table) -> str:
     """The bytes of json.dumps(indent=1) over the table with its values
-    rounded to 12 digits, with the rows laid out here, a block at a time."""
-    ncol = len(table.columns)
-    row = "  [\n   " + ",\n   ".join(["%s"] * ncol) + "\n  ]"
-    blocks = []
-    for text in _row_blocks(table.rows, ncol, "\n"):
-        # a fraction without exponent, or a negative exponent that does
-        # not start with 3, is its own token
-        tokens = [
-            s if "." in s and "e" not in s or "e-" in s and "e-3" not in s
-            else _json_number(s)
-            for s in text.split("\n")
-        ]
-        blocks.append(",\n".join([row] * (len(tokens) // ncol)) % tuple(tokens))
-    rows = "[\n" + ",\n".join(blocks) + "\n ]" if blocks else "[]"
+    rounded to 12 digits, with the rows laid out here, a cell at a time."""
+    rows = ",\n".join(_cell_texts(table, _json_tokens, ",\n   ", "  [\n   ", "\n  ]", ",\n"))
+    start, end = ("[\n", "\n ]") if rows else ("[", "]")
     head = json.dumps({"columns": table.columns}, indent=1)[:-2]
     meta = json.dumps({"meta": _jsonable(table.meta)}, indent=1)[2:]
-    return f'{head},\n "rows": {rows},\n{meta}\n'
+    # one copy of the rows text into the document
+    return f'{head},\n "rows": {start}{rows}{end},\n{meta}\n'
 
 
 def write_table(table: Table, destination, fmt: str = "csv") -> None:
     """Serialize a sweep table as CSV or JSON (12 significant digits).
 
-    Rows are floats (see ``Table``) and are formatted a block of
-    ``_BLOCK_ROWS`` rows at a time with one ``%.12g`` template; JSON tokens
-    are derived from the same strings.  The bytes are those of formatting
-    every value as ``f"{v:.12g}"`` (CSV) or of ``json.dumps(indent=1)`` over
+    Values are floats (see ``Table``).  Each prefix is formatted once per
+    cell and each distinct column object once per table, with one ``%.12g``
+    template per call (see ``_cell_texts``), and JSON tokens are derived from
+    the same strings.  The bytes are those of formatting every value of every row as
+    ``f"{v:.12g}"`` (CSV) or of ``json.dumps(indent=1)`` over
     ``float(f"{v:.12g}")`` with NaN as null (JSON).
 
-    ``destination`` is a path or '-' for stdout.  If the sweep recorded cell
-    errors and the destination is a file, a sidecar ``<dest>.errors.log`` is
-    written alongside.
+    ``destination`` is a path or '-' for stdout.  The sweep's cell errors go,
+    one JSON object per line, to a sidecar ``<dest>.errors.log`` next to a
+    file (a stale sidecar is removed when there are none) or to stderr
+    alongside stdout.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     payload = _csv_payload(table) if fmt == "csv" else _json_payload(table)
     errors = table.meta.get("errors") or []
+    log = "".join(json.dumps(_jsonable(e)) + "\n" for e in errors)
     if destination in (None, "-"):
         sys.stdout.write(payload)
+        sys.stderr.write(log)
+        return
+    path = Path(destination)
+    sidecar = Path(str(path) + ".errors.log")
+    try:
+        path.write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write table to {path}: {exc}") from exc
+    if log:
+        sidecar.write_text(log, encoding="utf-8")
     else:
-        path = Path(destination)
-        try:
-            path.write_text(payload, encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write table to {path}: {exc}") from exc
-        if errors:
-            log = "\n".join(json.dumps(_jsonable(e)) for e in errors) + "\n"
-            Path(str(path) + ".errors.log").write_text(log, encoding="utf-8")
+        sidecar.unlink(missing_ok=True)
 
 
 def _jsonable(obj):

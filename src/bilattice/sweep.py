@@ -3,14 +3,18 @@
 Grid cells (one rho, or one (rho, phi) pair for the cavity) are pure-function
 evaluations, run one after the other in lexicographic grid order; the
 transmit and cavity engines evaluate a cell's whole probe grid in one call.
-A failing cell or probe point contributes NaN-marked rows and an entry in
-the table's error list instead of aborting the sweep (unless fail_fast is
-set).
+Each grid cell becomes one ``Cell`` of the table, built straight from the
+engine arrays: the cell's constant coordinates as a prefix, and its column
+arrays, among them the axes every cell shares (the probe grid and detuning,
+the q grid), passed as the same array object to every cell.  A failing cell
+or probe point contributes NaN-marked rows and an entry in the table's error
+list instead of aborting the sweep (unless fail_fast is set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,17 +28,67 @@ _GAP_SLOTS = 4   # indexed-gap columns emitted by the gaps engine
 NAN = float("nan")
 
 
-@dataclass
-class Table:
-    """Column-named rows plus run metadata (grids, errors, peak summaries).
+class Cell(NamedTuple):
+    """One grid cell of a table: constant leading values plus the columns.
 
-    Every row value is a float (Python or numpy); ``cli_io.write_table``
-    formats them with ``%.12g`` a block of rows at a time and relies on it.
+    Its rows are ``prefix + (c[i] for c in columns)``, one per index i of the
+    equal-length ``columns``.  Cells may pass the same column object, such
+    as a probe grid they share.
     """
 
-    columns: list[str]
-    rows: list[tuple]
-    meta: dict = field(default_factory=dict)
+    prefix: tuple
+    columns: tuple
+
+
+def _values(column):
+    """A column as a sequence of Python floats where it is an array."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+class Table:
+    """Named columns, their data as a list of cells, and run metadata.
+
+    The table's rows are the rows of its cells in order.  Every value is a
+    float (Python or numpy); ``cli_io.write_table`` formats them with
+    ``%.12g`` and formats each prefix once per cell and each distinct column
+    object once per table.
+
+    ``rows`` is a list-of-tuples view for callers that want rows.  Its first
+    access materialises the list, and that list becomes the table's data, a
+    single cell with no prefix, so reads, assignment and item assignment
+    through it reach what is written.  ``Table(columns, rows, meta)`` builds
+    a table from rows the same way.
+    """
+
+    def __init__(self, columns: list[str], rows: list | None = None,
+                 meta: dict | None = None, cells: list[Cell] | None = None):
+        self.columns = columns
+        self.meta = {} if meta is None else meta
+        self._cells = [] if cells is None else cells
+        self._rows = rows
+
+    @property
+    def cells(self) -> list[Cell]:
+        """The table's cells; once ``rows`` is in use, one cell without a
+        prefix whose columns are those of the rows."""
+        if self._rows is None:
+            return self._cells
+        return [Cell((), tuple(zip(*self._rows, strict=True)))]
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self.rows = [
+                prefix + row
+                for prefix, columns in self._cells
+                for row in zip(*map(_values, columns))
+            ]
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list) -> None:
+        self._rows = rows
+        self._cells = []
 
     @property
     def errors(self) -> list:
@@ -101,19 +155,16 @@ def _map_cells(spec: SweepSpec, cells, worker):
     return [guarded(cell) for cell in cells]
 
 
-def _rows(prefix: tuple, *columns) -> list[tuple]:
-    """Row tuples of equal-length column arrays, each led by ``prefix``."""
-    return [prefix + row for row in zip(*(np.asarray(c).tolist() for c in columns))]
-
-
-def _rho_rows(spec: SweepSpec, table: Table, run) -> Table:
-    """Append the rows of run(rho) for every rho; a failed rho gets one NaN row."""
+def _rho_cells(spec: SweepSpec, table: Table, run) -> Table:
+    """Append the cell of run(rho), its columns after rho/a, for every rho;
+    a failed rho gets one NaN row."""
     rhos = spec.resolved_rhos()
-    for (rows, err), rho in zip(_map_cells(spec, rhos, run), rhos):
+    nan_row = ((NAN,),) * (len(table.columns) - 1)
+    for (columns, err), rho in zip(_map_cells(spec, rhos, run), rhos):
         if err is not None:
             table.errors.append({"rho": float(rho), "error": err})
-            rows = [(rho / spec.lattice.cell_size,) + (NAN,) * (len(table.columns) - 1)]
-        table.rows.extend(rows)
+            columns = nan_row
+        table.cells.append(Cell((rho / spec.lattice.cell_size,), columns))
     return table
 
 
@@ -123,14 +174,14 @@ def _gamma_units(spec: SweepSpec, omega: float) -> float:
 
 def _bands_table(spec: SweepSpec) -> Table:
     cfg = spec.lattice
-    a = cfg.cell_size
     g0 = cfg.reciprocal_vector
     n_modes = 2 * spec.n_bz + 3
     columns = ["rho_over_a", "q_over_G0"] + [
         f"band_{i + 1:02d}_gamma" for i in range(n_modes)
     ]
     rhos = spec.resolved_rhos()
-    table = Table(columns, [], {"engine": "bands", "rho_values": list(map(float, rhos))})
+    table = Table(columns, meta={"engine": "bands", "rho_values": list(map(float, rhos))})
+    q_axis = []   # the first cell's q_over_G0, the column every cell shares
 
     def run(rho):
         bs = bandstructure.compute_bands(
@@ -139,14 +190,15 @@ def _bands_table(spec: SweepSpec) -> Table:
             n_q=spec.n_q,
             q_max=spec.q_max,
         )
-        return _rows((rho / a,), bs.q_grid / g0, *_gamma_units(spec, bs.bands).T)
+        if not q_axis:   # the q grid does not depend on rho
+            q_axis.append(bs.q_grid / g0)
+        return (q_axis[0], *_gamma_units(spec, bs.bands).T)
 
-    return _rho_rows(spec, table, run)
+    return _rho_cells(spec, table, run)
 
 
 def _gaps_table(spec: SweepSpec) -> Table:
     cfg = spec.lattice
-    a = cfg.cell_size
     columns = ["rho_over_a", "gap_count"]
     for i in range(1, _GAP_SLOTS + 1):
         columns += [f"gap{i}_lower_gamma", f"gap{i}_upper_gamma", f"gap{i}_width_gamma"]
@@ -159,7 +211,7 @@ def _gaps_table(spec: SweepSpec) -> Table:
         "analytic_gap2_width_gamma",
     ]
     rhos = spec.resolved_rhos()
-    table = Table(columns, [], {"engine": "gaps", "rho_values": list(map(float, rhos))})
+    table = Table(columns, meta={"engine": "gaps", "rho_values": list(map(float, rhos))})
 
     def run(rho):
         entry = bandstructure.gap_widths_vs_rho(
@@ -171,7 +223,7 @@ def _gaps_table(spec: SweepSpec) -> Table:
             cover_tol=spec.cover_tol,
             min_band_width=spec.min_band_width,
         )[0]
-        row = [rho / a, float(len(entry.gaps))]
+        row = [float(len(entry.gaps))]
         for i in range(_GAP_SLOTS):
             if i < len(entry.gaps):
                 g = entry.gaps[i]
@@ -188,9 +240,9 @@ def _gaps_table(spec: SweepSpec) -> Table:
             row += [w1 / spec.reference_linewidth, w2 / spec.reference_linewidth]
         else:
             row += [NAN] * 6
-        return [tuple(row)]
+        return tuple((v,) for v in row)   # one row
 
-    return _rho_rows(spec, table, run)
+    return _rho_cells(spec, table, run)
 
 
 def _transmit_table(spec: SweepSpec) -> Table:
@@ -200,11 +252,9 @@ def _transmit_table(spec: SweepSpec) -> Table:
     single = len(rhos) == 1
     base_cols = ["omega_p_rad_s", "detuning_gamma", "T", "R", "A"]
     columns = base_cols if single else ["rho_over_a"] + base_cols
-    table = Table(
-        columns, [], {"engine": "transmit", "rho_values": list(map(float, rhos))}
-    )
+    table = Table(columns, meta={"engine": "transmit", "rho_values": list(map(float, rhos))})
     grid = np.asarray(spec.probe_grid, dtype=float)
-    # the detuning axis of spectrum_scan, kept by a failed cell's rows
+    # the omega_p and detuning axes of spectrum_scan, shared by every cell
     detuning = (grid - cfg.species_even.transition_frequency) / cfg.species_even.linewidth
 
     def run(rho):
@@ -219,13 +269,15 @@ def _transmit_table(spec: SweepSpec) -> Table:
         if err is not None:
             table.errors.append({"rho": float(rho), "error": err})
             nan = np.full(grid.shape, NAN)
-            table.rows.extend(_rows(prefix, grid, detuning, nan, nan, nan))
+            table.cells.append(Cell(prefix, (grid, detuning, nan, nan, nan)))
             continue
         for i, msg in result.errors.items():
             table.errors.append(
                 {"rho": float(rho), "omega_p": float(grid[i]), "error": f"ValueError: {msg}"}
             )
-        table.rows.extend(_rows(prefix, *result[:5]))   # omega_p, detuning, T, R, A
+        table.cells.append(
+            Cell(prefix, (grid, detuning, result.transmitted, result.reflected, result.absorbed))
+        )
     return table
 
 
@@ -242,8 +294,7 @@ def _cavity_table(spec: SweepSpec) -> Table:
     peak_norm = 2.0 * cav.pump**2 / cav.linewidth
     table = Table(
         columns,
-        [],
-        {
+        meta={
             "engine": "cavity",
             "rho_values": list(map(float, rhos)),
             "phi_values": list(map(float, phis)),
@@ -276,15 +327,15 @@ def _cavity_table(spec: SweepSpec) -> Table:
                 }
             )
         prefix = () if single else (rho / a, phi)
-        table.rows.extend(_rows(prefix, grid, detuning, intensity, intensity / peak_norm))
+        table.cells.append(Cell(prefix, (grid, detuning, intensity, intensity / peak_norm)))
     return table
 
 
 def run_sweep(spec: SweepSpec) -> Table:
     """Run the sweep described by ``spec`` and return its table.
 
-    Rows come in the lexicographic grid order of the spec; failed cells
-    yield NaN rows plus ``table.meta['errors']`` entries unless
+    Cells, and so rows, come in the lexicographic grid order of the spec;
+    failed cells yield NaN rows plus ``table.meta['errors']`` entries unless
     spec.fail_fast is set.
     """
     if spec.engine == "bands":

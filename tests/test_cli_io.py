@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bilattice import cli_io
 from bilattice.cli_io import (
     BUNDLED_CONFIGS,
     ConfigError,
@@ -22,7 +23,7 @@ from bilattice.cli_io import (
 )
 from bilattice.constants import C, TWO_PI
 from bilattice.core import cavity_coupling
-from bilattice.sweep import Table, run_sweep
+from bilattice.sweep import Cell, Table, run_sweep
 
 from conftest import GAMMA
 
@@ -241,6 +242,30 @@ def test_nan_rows_round_trip_and_sidecar_log(tmp_path):
     assert log.exists() and "boom" in log.read_text()
 
 
+def test_clean_rewrite_removes_stale_sidecar(tmp_path):
+    path = tmp_path / "t.csv"
+    log = tmp_path / "t.csv.errors.log"
+    write_table(Table(["x"], [(math.nan,)], {"errors": [{"error": "boom"}]}), path)
+    assert log.exists()
+    write_table(Table(["x"], [(1.0,)]), path)
+    assert path.read_text() == "x\n1\n"
+    assert not log.exists()
+
+
+def test_cli_errors_go_to_stderr_with_stdout_output(tmp_path, capsys):
+    # probe points far below the line have omega_p <= 0: each is a NaN row
+    # plus one error, and the run still exits 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_TRANSMIT.replace("probe_min = -50 gamma", "probe_min = -1e16 gamma"))
+    assert run_cli(["transmit", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    nan_rows = [ln for ln in captured.out.splitlines()[1:] if ln.endswith(",nan,nan,nan")]
+    errors = [json.loads(ln) for ln in captured.err.splitlines()]
+    assert len(nan_rows) == len(errors) == 10
+    assert all(e["error"] == "ValueError: probe frequency must be positive" for e in errors)
+    assert not list(tmp_path.glob("*.errors.log"))
+
+
 # The per-value rules the block writer must reproduce byte for byte.
 
 
@@ -289,12 +314,96 @@ def test_block_writer_matches_per_value_rules_on_edge_values(tmp_path, fmt, orac
         assert path.read_bytes() == oracle(table).encode("utf-8")
 
 
-@pytest.mark.parametrize("name, fmt, oracle", [("fig8", "csv", oracle_csv), ("fig9", "json", oracle_json)])
+def edge_cell_table() -> Table:
+    # edge values in the prefixes, two axes every cell shares (an array and
+    # a list of mixed float types), an empty cell and a failed (NaN-body) cell
+    axis = np.array(EDGE_VALUES)
+    listed = EDGE_VALUES[::-1]
+    prefixes = [
+        (math.nan, -0.0), (2.4149e15, 4.1e-314), (np.float64(1 / 3), 5e-324),
+        (-math.inf, 999999999999.6), (3.0, np.float64(-0.0)),
+    ]
+    cells = [
+        Cell(prefix, (axis, np.roll(axis, k + 1), listed))
+        for k, prefix in enumerate(prefixes)
+    ]
+    cells.insert(2, Cell((0.5, 0.5), (axis[:0], axis[:0], axis[:0])))
+    nan = np.full(axis.shape, math.nan)
+    cells.append(Cell((1e-300, 1.23456789012345e15), (axis, nan, nan)))
+    meta = {"engine": "test", "errors": [{"x": 1e-300, "error": "boom"}]}
+    return Table(["p", "q", "x", "y", "z"], meta=meta, cells=cells)
+
+
+@pytest.mark.parametrize("fmt, oracle", [("csv", oracle_csv), ("json", oracle_json)])
+def test_block_writer_matches_per_value_rules_on_cells(tmp_path, fmt, oracle):
+    table = edge_cell_table()
+    path = tmp_path / f"t.{fmt}"
+    write_table(table, path, fmt)   # before .rows turns the cells into rows
+    assert len(table.rows) == 6 * len(EDGE_VALUES)
+    assert path.read_bytes() == oracle(table).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_misshapen_tables_are_refused(tmp_path, fmt):
+    axis = np.arange(3.0)
+    for table in (
+        Table(["x", "y"], [(1.0, 2.0), (3.0,)]),                # ragged rows
+        Table(["x", "y"], [(1.0, 2.0, 3.0)]),                   # a row too wide
+        Table(["x", "y"], cells=[Cell((1.0,), (axis, axis))]),  # a cell too wide
+        Table(["x", "y"], cells=[Cell((), (axis, axis[:2]))]),  # unequal columns
+    ):
+        with pytest.raises(ValueError):
+            write_table(table, tmp_path / f"t.{fmt}", fmt)
+
+
+@pytest.mark.parametrize(
+    "name, fmt, oracle",
+    [
+        ("fig8", "csv", oracle_csv),
+        ("fig9", "json", oracle_json),
+        ("fig10", "csv", oracle_csv),
+        ("fig7", "json", oracle_json),
+    ],
+)
 def test_block_writer_matches_per_value_rules_on_bundled_tables(tmp_path, name, fmt, oracle):
     table = run_sweep(parse_config(bundled_config_text(name)).sweep)
     path = tmp_path / f"{name}.{fmt}"
     write_table(table, path, fmt)
     assert path.read_bytes() == oracle(table).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_distinct_column_is_formatted_once(tmp_path, monkeypatch, fmt):
+    # fig9: 3 rho cells of 4801 rows; omega_p and detuning are shared
+    table = run_sweep(parse_config(bundled_config_text("fig9")).sweep)
+    formatted = []
+    original = cli_io._formatted
+    monkeypatch.setattr(cli_io, "_formatted", lambda v: formatted.append(len(v)) or original(v))
+    write_table(table, tmp_path / f"t.{fmt}", fmt)
+    assert sum(formatted) == 2 * 4801 + 3 * (2 + 2 * 4801) < len(table.rows) * 6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_edits_through_rows_reach_the_written_bytes(tmp_path, fmt):
+    table = run_sweep(parse_config(bundled_config_text("fig9")).sweep)
+    path = tmp_path / f"t.{fmt}"
+    write_table(table, path, fmt)
+    written = path.read_bytes()
+    # reading rows keeps the bytes
+    rows = table.rows
+    write_table(table, path, fmt)
+    assert path.read_bytes() == written
+    # item assignment
+    rows[1] = rows[1][:-1] + (0.125,)
+    write_table(table, path, fmt)
+    edited = path.read_bytes()
+    assert edited != written
+    assert edited == (oracle_csv if fmt == "csv" else oracle_json)(table).encode("utf-8")
+    # assignment
+    table.rows = [row[:2] + (-1.0,) * 4 for row in table.rows[:3]]
+    write_table(table, path, fmt)
+    back = read_table(path)
+    assert len(back.rows) == 3 and all(row[2:] == (-1.0,) * 4 for row in back.rows)
 
 
 doubles = st.one_of(st.floats(), st.floats(-1e-300, 1e-300), st.floats(-1e17, 1e17))
