@@ -16,7 +16,10 @@ window and diagonalizes nothing: the number of eigenvalues below omega is
 #(omega_k < omega) plus the negative inertia of a 2x2 Schur complement
 (Sylvester's law of inertia), an O(n_G) count per q, and bisection on that
 count gives each band value to float64 resolution (Barth, Martin &
-Wilkinson, Numer. Math. 9, 1967; Golub, SIAM Rev. 15, 1973).
+Wilkinson, Numer. Math. 9, 1967; Golub, SIAM Rev. 15, 1973).  The scan
+covers only q >= 0: time reversal makes the matrix at -q the complex
+conjugate of the one at q with modes m and -m swapped, so
+omega_n(-q) = omega_n(q).
 
 The rotating-wave coupling scales as 1/sqrt(omega_k) and is therefore cut
 off below ``min_coupled_mode_frequency`` (the G = 0 mode reaches omega = 0
@@ -99,8 +102,6 @@ def build_bloch_matrix(
     evaluated with the 1/sqrt(omega_k) mode scaling for every photon mode at
     or above the infrared cutoff and set to zero below it.
     """
-    if n_bz < 1:
-        raise ValueError("need at least one Brillouin zone")
     g0 = cfg.reciprocal_vector
     if abs(q) > g0 / 2:
         folded = (q + g0 / 2) % g0 - g0 / 2
@@ -128,6 +129,8 @@ def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: f
     c1 = h[0, 2:] and c2 = h[1, 2:], each of shape (n_q, n_G); the atom
     diagonal is (omega_1, omega_2) at every q.
     """
+    if n_bz < 1:
+        raise ValueError("need at least one Brillouin zone")
     g0 = cfg.reciprocal_vector
     sp1, sp2 = cfg.species_even, cfg.species_odd
     ms = np.arange(-n_bz, n_bz + 1)
@@ -351,7 +354,11 @@ def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: floa
     Band k (0-based, ascending) is kept when it lies at or above ``lower`` at
     some q and below ``upper`` at some q.  All (q, k) values are bisected
     together on the eigenvalue count until the float64 midpoint stops moving;
-    no matrix is assembled or diagonalized.
+    no matrix is assembled or diagonalized.  Each q is bisected on its own,
+    so any subset of a grid, such as the q >= 0 half the gap scan passes,
+    gives the values of the whole grid at those q; by time reversal the
+    values at q and -q agree (the count at -q sums the same terms with
+    modes m and -m swapped, and reads c2 only through |c1 c2*|^2).
     """
     omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, _default_ir_cutoff(cfg))
     weights = _coupling_weights(c1, c2)
@@ -400,7 +407,10 @@ def gap_widths_vs_rho(
 
     The numeric gaps are those ``find_gaps`` reports for the full-BZ band
     structure, with each band that reaches the window found by inertia
-    bisection (``_window_bands``) instead of a dense eigensolve.  The
+    bisection (``_window_bands``) instead of a dense eigensolve.  Only the
+    q >= 0 half of the symmetric n_q grid is bisected: time reversal gives
+    omega_n(-q) = omega_n(q), so it holds every band's min and max, the only
+    band data ``find_gaps`` reads.  The
     analytic column is filled only when the two species share a transition
     frequency, the validity domain of the band-edge formula.
     """
@@ -421,7 +431,7 @@ def gap_widths_vs_rho(
     # never set a gap edge
     lower = window[0] - cover_tol - sp1.linewidth
     upper = window[1] + cover_tol + sp1.linewidth
-    q_grid = _q_grid(cfg, n_q)
+    q_grid = _q_grid(cfg, n_q)[n_q // 2:]
     symmetric = (
         abs(sp1.transition_frequency - sp2.transition_frequency)
         <= 1e-9 * sp1.transition_frequency

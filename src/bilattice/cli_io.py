@@ -375,10 +375,13 @@ def parse_config(text: str) -> RunConfig:
     spec_kwargs["lattice"] = lattice
 
     if engine in ("bands", "gaps"):
-        for key, attr in (("n_bz", "n_bz"), ("n_q", "n_q")):
+        for key, least in (("n_bz", 1), ("n_q", 3)):
             entry = take(key)
             if entry is not None:
-                spec_kwargs[attr] = entry.integer()
+                value = entry.integer()
+                if value < least:
+                    entry.fail(f"must be >= {least}")
+                spec_kwargs[key] = value
         if engine == "bands":
             entry = take("q_max")
             if entry is not None:

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bilattice import bandstructure
 from bilattice.bandstructure import (
     _arrowhead,
     _count_below,
     _coupling_weights,
     _default_ir_cutoff,
+    _q_grid,
+    _window_bands,
     analytic_band_edges,
     build_bloch_matrix,
     compute_bands,
@@ -146,6 +149,14 @@ def test_band_sweep_rejects_tiny_grid(fiber_lattice):
         compute_bands(fiber_lattice, n_q=2)
 
 
+@pytest.mark.parametrize("n_bz", [0, -3])
+def test_engines_reject_fewer_than_one_zone(fiber_lattice, n_bz):
+    with pytest.raises(ValueError, match="Brillouin zone"):
+        compute_bands(fiber_lattice, n_bz=n_bz, n_q=11)
+    with pytest.raises(ValueError, match="Brillouin zone"):
+        gap_widths_vs_rho(fiber_lattice, [0.2 * fiber_lattice.cell_size], n_bz=n_bz, n_q=11)
+
+
 # ---------------------------------------------------------------------------
 # analytic edges
 
@@ -251,6 +262,24 @@ def test_inertia_count_symmetric_under_q_reversal(omega0, rho_frac, q_frac, detu
     atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
     count = _count_below(np.full((2, 1), omega), omega_k, _coupling_weights(c1, c2), atoms)
     assert count[0, 0] == count[1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho_frac=st.floats(0.0, 1.0),
+    species=st.sampled_from([(-10.0, -10.0), (-10.0, 530.0), (-530.0, 530.0)]),
+    n_bz=st.integers(1, 6),
+    n_q=st.integers(3, 25),
+)
+def test_window_bands_symmetric_under_q_reversal(omega0, rho_frac, species, n_bz, n_q):
+    # the premise of the half-zone gap scan: each bisected band value at q
+    # is the one at -q, bit for bit, on the symmetric grid itself
+    cfg = make_lattice(
+        omega0, cells=100, rho_frac=rho_frac, detuning_even=species[0], detuning_odd=species[1]
+    )
+    lower, upper = window_for(cfg)
+    bands = _window_bands(cfg, _q_grid(cfg, n_q), n_bz, lower, upper)
+    assert np.array_equal(bands, bands[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +424,31 @@ def test_rho_scan_matches_eigvalsh_gaps_on_bundled_configs(name):
         for got, want in zip(entry.gaps, ref):
             assert got.lower_edge == pytest.approx(want.lower_edge, abs=1e-4 * gamma)
             assert got.upper_edge == pytest.approx(want.upper_edge, abs=1e-4 * gamma)
+
+
+@pytest.mark.parametrize("n_q", [201, 200], ids=["odd", "even"])
+@pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
+def test_half_zone_gap_scan_matches_full_zone(name, n_q, monkeypatch):
+    # gap_widths_vs_rho bisects only the q >= 0 half of the grid; each band's
+    # min and max over it must be those over the full zone, bit for bit
+    spec = parse_config(bundled_config_text(name)).sweep
+    lat = spec.lattice
+    scans = []
+
+    def recording_window_bands(cfg, q_grid, n_bz, lower, upper):
+        bands = _window_bands(cfg, q_grid, n_bz, lower, upper)
+        scans.append((cfg, n_bz, lower, upper, bands))
+        return bands
+
+    monkeypatch.setattr(bandstructure, "_window_bands", recording_window_bands)
+    rhos = [f * lat.cell_size for f in (0.0, 0.25, 0.5, 0.137)]
+    gap_widths_vs_rho(lat, rhos, window=spec.window, n_bz=spec.n_bz, n_q=n_q)
+    assert len(scans) == len(rhos)
+    full_grid = _q_grid(lat, n_q)
+    for cfg, n_bz, lower, upper, half in scans:
+        full = _window_bands(cfg, full_grid, n_bz, lower, upper)
+        assert np.array_equal(half.min(axis=0), full.min(axis=0))
+        assert np.array_equal(half.max(axis=0), full.max(axis=0))
 
 
 def test_gap_widths_cell_count_independent(omega0):

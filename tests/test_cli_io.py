@@ -459,20 +459,36 @@ def test_cli_engine_mismatch_is_config_error(tmp_path, capsys):
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    for command, text in (
-        ("transmit", MINIMAL_TRANSMIT + "mystery = 1\n"),
+    out = tmp_path / "out.csv"
+    for command, text, named in (
+        ("transmit", MINIMAL_TRANSMIT + "mystery = 1\n", "unknown key"),
         # no longer a key: it was metadata that no formula read
-        ("cavity", bundled_config_text("fig9") + "mirror_reflectivity = 0.999982\n"),
+        (
+            "cavity",
+            bundled_config_text("fig9") + "mirror_reflectivity = 0.999982\n",
+            "unknown key",
+        ),
         # no longer a key: sweeps run their cells one after the other
-        ("transmit", MINIMAL_TRANSMIT + "workers = 2\n"),
+        ("transmit", MINIMAL_TRANSMIT + "workers = 2\n", "unknown key"),
         # the cavity lattice takes its density from the cavity coupling
-        ("cavity", bundled_config_text("fig9") + "areal_density = 5.7e-2 um^-2\n"),
-        ("cavity", bundled_config_text("fig9") + "waist = 5 um\n"),
+        (
+            "cavity",
+            bundled_config_text("fig9") + "areal_density = 5.7e-2 um^-2\n",
+            "unknown key",
+        ),
+        ("cavity", bundled_config_text("fig9") + "waist = 5 um\n", "unknown key"),
+        # truncations the band engines cannot use: a q-grid needs three
+        # points, the photon basis at least one zone on each side
+        ("gaps", bundled_config_text("fig4").replace("n_q = 201", "n_q = 2"), "key 'n_q'"),
+        ("gaps", bundled_config_text("fig4").replace("n_bz = 40", "n_bz = -3"), "key 'n_bz'"),
+        ("bands", bundled_config_text("fig2a").replace("n_bz = 40", "n_bz = 0"), "key 'n_bz'"),
+        ("bands", bundled_config_text("fig2a").replace("n_q = 401", "n_q = 2"), "key 'n_q'"),
     ):
         cfg.write_text(text)
-        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "unknown key" in err
+        assert "config error" in err and named in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
