@@ -12,12 +12,20 @@ is an arrowhead: a diagonal photon block bordered by two dense atom rows.
 ``compute_bands`` (the dispersion engine, and the reference the tests use)
 diagonalizes it densely with ``np.linalg.eigvalsh``.  Gap detection
 (``gap_widths_vs_rho``) needs only the bands that reach its frequency
-window and diagonalizes nothing: the number of eigenvalues below omega is
-#(omega_k < omega) plus the negative inertia of a 2x2 Schur complement
-(Sylvester's law of inertia), an O(n_G) count per q, and bisection on that
-count gives each band value to float64 resolution (Barth, Martin &
-Wilkinson, Numer. Math. 9, 1967; Golub, SIAM Rev. 15, 1973).  The scan
-covers only q >= 0: time reversal makes the matrix at -q the complex
+window and diagonalizes no Bloch matrix: the number of eigenvalues below
+omega is #(omega_k < omega) plus the negative inertia of a 2x2 Schur
+complement (Sylvester's law of inertia), an O(n_G) count per q, and
+bisection on that count gives each band value to float64 resolution
+(Barth, Martin & Wilkinson, Numer. Math. 9, 1967; Golub, SIAM Rev. 15,
+1973).  The
+bisection starts from a bracket a few ulps wide about a prediction: the
+eigenvalues of a small effective Hamiltonian per q, the atom rows bordered
+by the photon modes in or near the window, with every other mode folded
+into the atom block to first order in omega.  The count checks each
+bracket before it is used, and a bracket that fails restarts from the
+whole window, as LAPACK's dstebz keeps its count as the safeguard; the
+values are those of a bisection from the whole window, bit for bit.  The
+scan covers only q >= 0: time reversal makes the matrix at -q the complex
 conjugate of the one at q with modes m and -m swapped, so
 omega_n(-q) = omega_n(q).
 
@@ -348,13 +356,95 @@ def _count_below(omega, omega_k, weights, atoms) -> np.ndarray:
     return photons + negative
 
 
+def _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k):
+    """Predicted value of band k at each q, and the half-width to search about it.
+
+    The prediction is an eigenvalue of a small effective Hamiltonian per q:
+    the two atom rows bordered by the photon modes in or near the window,
+    with every other mode folded into the 2x2 atom block to first order in
+    omega about the window centre omega_c.  With d = omega_k - omega_c and
+    delta = omega - omega_c, the folded modes' part of the Schur complement
+    of ``_count_below`` is
+
+        S(omega) ~ A - delta B,  A = diag(omega_1, omega_2) - omega_c - sum c c^H / d,
+                                 B = I + sum c c^H / d^2,
+
+    and for |delta| <= h, the window half-width, the Taylor remainder a mode
+    drops is at most |c|^2 h^2 / (d^2 (|d| - h)).  A mode is folded when it
+    lies outside the window and that bound is at most one ulp of omega_c;
+    every other mode borders the atom block.  B = L L^H (B >= I, so
+    ||L^-1|| <= 1) turns the bordered pencil into a Hermitian matrix whose
+    eigenvalues are the predicted delta, one ``eigvalsh`` batch over all q;
+    rows are padded to one size with decoupled modes far above the window.
+    Band k at row q takes the (k - at_lower[q] + #predictions below
+    lower)-th prediction, with a half-width of 32 ulps plus the row's summed
+    remainder bounds.  Returns two (n_q, n_k) arrays; the value is NaN where
+    no prediction maps to the band.  Only a bisection bracket is built from
+    them: the count checks it, and no band value is taken from a prediction.
+    """
+    centre, h = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    detuning = omega_k - centre
+    excess = np.abs(detuning) - h
+    outside = excess > 0.0
+    remainder = np.divide(
+        h * h * (weights[..., 0] + weights[..., 1]),
+        detuning * detuning * excess,
+        out=np.zeros_like(excess),
+        where=outside,
+    )
+    far = outside & (remainder <= np.spacing(centre))
+    inv = np.divide(1.0, detuning, out=np.zeros_like(detuning), where=far)
+    # one matmul: sum c c^H / d and sum c c^H / d^2 over the folded modes
+    f0, f1 = np.matmul(np.stack((inv, inv * inv), axis=1), weights).transpose(1, 2, 0)
+    a11 = atoms[0] - centre - f0[0]
+    a22 = atoms[1] - centre - f0[1]
+    a12 = -(f0[2] + 1j * f0[3])
+    # L^-1 = [[p11, 0], [p21, p22]] for the Cholesky factor L of B
+    l11 = np.sqrt(1.0 + f1[0])
+    l21 = (f1[2] - 1j * f1[3]) / l11
+    p11 = 1.0 / l11
+    p22 = 1.0 / np.sqrt(1.0 + f1[1] - np.abs(l21) ** 2)
+    p21 = -l21 * p11 * p22
+    # the j-th bordered mode of a row sits in slot 2 + j
+    row, col = np.nonzero(~far)
+    slot = 2 + np.arange(row.size) - np.searchsorted(row, row)
+    n_q, n = omega_k.shape[0], int(slot.max(initial=1)) + 1
+    m = np.zeros((n_q, n, n), dtype=complex)
+    m[:, 0, 0] = p11 * p11 * a11
+    m[:, 1, 0] = p11 * (p21 * a11 + p22 * np.conj(a12))
+    m[:, 0, 1] = np.conj(m[:, 1, 0])
+    m[:, 1, 1] = np.abs(p21) ** 2 * a11 + 2.0 * p22 * (p21 * a12).real + p22 * p22 * a22
+    pad = np.arange(2, n)
+    m[:, pad, pad] = 3.0 * h    # padding: decoupled, far above the window
+    m[row, slot, slot] = detuning[row, col]
+    m[row, 0, slot] = p11[row] * c1[row, col]
+    m[row, 1, slot] = p21[row] * c1[row, col] + p22[row] * c2[row, col]
+    m[row, slot, 0] = np.conj(m[row, 0, slot])
+    m[row, slot, 1] = np.conj(m[row, 1, slot])
+    seeds = centre + np.linalg.eigvalsh(m)                      # (n_q, n), ascending
+    pick = k - at_lower + np.count_nonzero(seeds < lower, axis=1)[:, None]
+    seed = np.where(
+        (pick >= 0) & (pick < n), seeds[np.arange(n_q)[:, None], np.clip(pick, 0, n - 1)], np.nan
+    )
+    half = 32.0 * np.spacing(seed) + np.sum(remainder, axis=1, where=far)[:, None]
+    return seed, half
+
+
 def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: float, upper: float):
     """Values on ``q_grid`` of the bands that reach [lower, upper], clamped to it.
 
     Band k (0-based, ascending) is kept when it lies at or above ``lower`` at
-    some q and below ``upper`` at some q.  All (q, k) values are bisected
-    together on the eigenvalue count until the float64 midpoint stops moving;
-    no matrix is assembled or diagonalized.  Each q is bisected on its own,
+    some q and below ``upper`` at some q.  Each band value is bisected on
+    the eigenvalue count until the float64 midpoint stops moving; no
+    Bloch matrix is assembled or diagonalized.  The bisection starts from
+    a narrow bracket about the prediction of ``_band_seeds``, clipped to
+    the window, once the count has checked it: count(lo) <= k < count(hi).
+    A pair whose bracket fails the check, or that has no prediction,
+    starts from [lower, upper] instead; a pair clamped to the window gets
+    the zero-width bracket [lower, lower].  The count is monotone in omega
+    at float resolution, so any checked bracket ends at the adjacent float
+    pair a bisection from [lower, upper] ends at, and every value is that
+    bisection's bit for bit.  Each q is bisected on its own,
     so any subset of a grid, such as the q >= 0 half the gap scan passes,
     gives the values of the whole grid at those q; by time reversal the
     values at q and -q agree (the count at -q sums the same terms with
@@ -367,8 +457,17 @@ def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: floa
     at_lower = _count_below(np.full(column, lower), omega_k, weights, atoms)
     at_upper = _count_below(np.full(column, upper), omega_k, weights, atoms)
     k = np.arange(at_lower.min(), at_upper.max())
-    lo = np.full((len(q_grid), k.size), lower)
-    hi = np.full((len(q_grid), k.size), upper)
+    active = (k >= at_lower) & (k < at_upper)
+    seed, half = _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k)
+    seeded = active & np.isfinite(seed)
+    lo = np.where(seeded, np.fmax(seed - half, lower), lower)
+    hi = np.where(seeded, np.fmin(seed + half, upper), lower)
+    missed = active & (
+        (_count_below(lo, omega_k, weights, atoms) > k)
+        | (_count_below(hi, omega_k, weights, atoms) <= k)
+    )
+    lo = np.where(missed, lower, lo)
+    hi = np.where(missed, upper, hi)
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
         below = _count_below(mid, omega_k, weights, atoms) > k  # band k lies below mid
@@ -407,12 +506,15 @@ def gap_widths_vs_rho(
 
     The numeric gaps are those ``find_gaps`` reports for the full-BZ band
     structure, with each band that reaches the window found by inertia
-    bisection (``_window_bands``) instead of a dense eigensolve.  Only the
+    bisection (``_window_bands``) instead of a dense eigensolve; the
+    bisection starts from a seeded bracket the count has checked, and from
+    the whole window where the check fails.  Only the
     q >= 0 half of the symmetric n_q grid is bisected: time reversal gives
     omega_n(-q) = omega_n(q), so it holds every band's min and max, the only
     band data ``find_gaps`` reads.  The
     analytic column is filled only when the two species share a transition
-    frequency, the validity domain of the band-edge formula.
+    frequency, the validity domain of the band-edge formula.  A given
+    ``window`` must be finite and increasing.
     """
     sp1, sp2 = cfg.species_even, cfg.species_odd
     if window is None:
@@ -423,6 +525,8 @@ def gap_widths_vs_rho(
         )
         pad = 800.0 * sp1.linewidth
         window = (min(anchors) - pad, max(anchors) + pad)
+    elif not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
+        raise ValueError(f"window {window} must be finite and increasing")
     if cover_tol is None:
         cover_tol = sp1.linewidth / 10.0
     if cover_tol < 0.0:

@@ -49,6 +49,7 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -629,7 +630,9 @@ def _load_config(arg: str) -> str:
     raise ConfigError(f"config file {arg!r} not found")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="bilattice",
         description="Photonic spectra of one-dimensional biperiodic atomic lattices.",

@@ -129,6 +129,15 @@ class SweepSpec:
             raise ValueError("cavity sweep needs a cavity config")
         if self.rho_values is not None and len(self.rho_values) == 0:
             raise ValueError("rho grid must be non-empty")
+        if self.engine in ("bands", "gaps"):
+            if self.n_q < 3:
+                raise ValueError("need at least three q-points")
+            if self.n_bz < 1:
+                raise ValueError("need at least one Brillouin zone")
+        if self.engine == "gaps" and self.window is not None:
+            low, high = self.window
+            if not (np.isfinite(low) and np.isfinite(high) and low < high):
+                raise ValueError("gap window must be finite and increasing")
 
     def resolved_rhos(self) -> np.ndarray:
         if self.rho_values is None:

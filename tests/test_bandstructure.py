@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bilattice import bandstructure
 from bilattice.bandstructure import (
     _arrowhead,
+    _band_seeds,
     _count_below,
     _coupling_weights,
     _default_ir_cutoff,
@@ -282,6 +283,122 @@ def test_window_bands_symmetric_under_q_reversal(omega0, rho_frac, species, n_bz
     assert np.array_equal(bands, bands[::-1])
 
 
+def bisect_window_bands(cfg, q_grid, n_bz, lower, upper):
+    """Every window band value bisected from [lower, upper] on the count."""
+    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, _default_ir_cutoff(cfg))
+    weights = _coupling_weights(c1, c2)
+    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
+    column = (len(q_grid), 1)
+    at_lower = _count_below(np.full(column, lower), omega_k, weights, atoms)
+    at_upper = _count_below(np.full(column, upper), omega_k, weights, atoms)
+    k = np.arange(at_lower.min(), at_upper.max())
+    lo = np.full((len(q_grid), k.size), lower)
+    hi = np.full((len(q_grid), k.size), upper)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = _count_below(mid, omega_k, weights, atoms) > k
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        mid = 0.5 * (lo + hi)
+    return np.where(k < at_lower, lower, np.where(k >= at_upper, upper, mid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho_frac=st.floats(0.0, 1.0),
+    species=st.sampled_from([(-10.0, -10.0), (120.0, 120.0), (-10.0, 530.0), (-530.0, 530.0)]),
+    n_bz=st.integers(1, 12),
+    n_q=st.integers(3, 41),
+    cells=st.sampled_from([100, 500_000]),
+)
+def test_seeded_window_bands_match_plain_bisection(omega0, rho_frac, species, n_bz, n_q, cells):
+    # a seeded bracket only shortens the bisection: it ends at the float
+    # pair a bisection from the whole window ends at
+    cfg = make_lattice(
+        omega0, cells=cells, rho_frac=rho_frac, detuning_even=species[0], detuning_odd=species[1]
+    )
+    lower, upper = window_for(cfg)
+    q_grid = _q_grid(cfg, n_q)
+    got = _window_bands(cfg, q_grid, n_bz, lower, upper)
+    assert np.array_equal(got, bisect_window_bands(cfg, q_grid, n_bz, lower, upper))
+
+
+def bundled_scan_bands(name, rho_fracs, monkeypatch):
+    """(cfg, q grid, n_bz, lower, upper, bands, count calls) of each
+    ``_window_bands`` call the gap scan of a bundled config makes."""
+    spec = parse_config(bundled_config_text(name)).sweep
+    lat = spec.lattice
+    scans, calls = [], []
+    count_below = bandstructure._count_below
+    window_bands = bandstructure._window_bands
+
+    def counting(*args):
+        calls.append(1)
+        return count_below(*args)
+
+    def recording(cfg, q_grid, n_bz, lower, upper):
+        calls.clear()
+        bands = window_bands(cfg, q_grid, n_bz, lower, upper)
+        scans.append((cfg, q_grid, n_bz, lower, upper, bands, len(calls)))
+        return bands
+
+    monkeypatch.setattr(bandstructure, "_count_below", counting)
+    monkeypatch.setattr(bandstructure, "_window_bands", recording)
+    rhos = [f * lat.cell_size for f in rho_fracs]
+    gap_widths_vs_rho(lat, rhos, window=spec.window, n_bz=spec.n_bz, n_q=spec.n_q,
+                      cover_tol=spec.cover_tol, min_band_width=spec.min_band_width)
+    return scans
+
+
+@pytest.mark.parametrize("shift", [10.0 * GAMMA, np.nan], ids=["shifted", "nan"])
+def test_window_bands_survive_wrong_seeds(shift, monkeypatch):
+    # brackets that miss their band, or have no seed, restart from the window
+    seeds = bandstructure._band_seeds
+
+    def wrong_seeds(*args):
+        seed, half = seeds(*args)
+        return seed + shift, half
+
+    monkeypatch.setattr(bandstructure, "_band_seeds", wrong_seeds)
+    for cfg, q_grid, n_bz, lower, upper, bands, calls in bundled_scan_bands(
+        "fig4", (0.0, 0.137), monkeypatch
+    ):
+        assert np.array_equal(bands, bisect_window_bands(cfg, q_grid, n_bz, lower, upper))
+        assert calls > 30
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
+def test_seed_brackets_hold_the_bisected_values(name, monkeypatch):
+    # every band that reaches the window is seeded within its bracket, so
+    # no pair falls back to bisecting the whole window
+    seeds = []
+
+    def recording_seeds(*args):
+        seeds.append(_band_seeds(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(bandstructure, "_band_seeds", recording_seeds)
+    scans = bundled_scan_bands(name, (0.0, 0.25, 0.5, 0.137), monkeypatch)
+    for (seed, half), (cfg, q_grid, n_bz, lower, upper, bands, calls) in zip(seeds, scans):
+        want = bisect_window_bands(cfg, q_grid, n_bz, lower, upper)
+        assert np.array_equal(bands, want)
+        active = (lower < want) & (want < upper)
+        assert active.any()
+        assert np.all(np.abs(seed - want)[active] <= half[active])
+        assert np.all(half[active] < 1e-4 * GAMMA)
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
+def test_bundled_gap_scans_take_at_most_10_counts_per_rho(name, monkeypatch):
+    # two window-edge counts, two bracket checks and six steps from a
+    # 64-ulp bracket down to adjacent floats
+    spec = parse_config(bundled_config_text(name)).sweep
+    fracs = spec.resolved_rhos() / spec.lattice.cell_size
+    scans = bundled_scan_bands(name, fracs, monkeypatch)
+    assert len(scans) == len(fracs)
+    assert max(calls for *_, calls in scans) <= 10
+
+
 # ---------------------------------------------------------------------------
 # gap detection
 
@@ -397,6 +514,16 @@ def test_rho_scan_rejects_out_of_cell(omega0):
     cfg = make_lattice(omega0, cells=100)
     with pytest.raises(ValueError, match="outside"):
         gap_widths_vs_rho(cfg, [1.5 * cfg.cell_size], n_bz=4, n_q=11)
+
+
+@pytest.mark.parametrize("edges", [(1.0, 0.0), (0.0, 0.0), (math.nan, 1.0)],
+                         ids=["reversed", "empty", "nan"])
+def test_rho_scan_rejects_bad_window(omega0, edges):
+    cfg = make_lattice(omega0, cells=100)
+    w_min, w_max = window_for(cfg)
+    window = tuple(w_min + (w_max - w_min) * e for e in edges)
+    with pytest.raises(ValueError, match="finite and increasing"):
+        gap_widths_vs_rho(cfg, [0.2 * cfg.cell_size], window=window, n_bz=4, n_q=11)
 
 
 def test_rho_scan_rejects_negative_cover_tol(omega0):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,6 +560,38 @@ def test_every_bundled_config_runs_end_to_end(tmp_path):
         assert time.perf_counter() - started < 60.0
         lines = out.read_text().splitlines()
         assert len(lines) > 1   # header plus data
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; later calls must not see
+    # anything an earlier call left behind
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(MINIMAL_TRANSMIT + "mystery = 1\n")
+    runs = [
+        ("gaps", "fig2b", "csv"),
+        ("transmit", "fig6", "json"),
+        ("transmit", str(bad), "csv"),
+    ]
+    src = Path(cli_io.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    for i, (command, config, fmt) in enumerate(runs):
+        args = [command, "--config", config, "--format", fmt]
+        here = tmp_path / f"here{i}.{fmt}"
+        fresh = tmp_path / f"fresh{i}.{fmt}"
+        code = main(args + ["--out", str(here)])
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilattice.cli_io", *args, "--out", str(fresh)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert code == proc.returncode == (1 if config == str(bad) else 0)
+        if code == 0:
+            assert here.read_bytes() == fresh.read_bytes()
+        else:
+            assert not here.exists() and not fresh.exists()
+            assert capsys.readouterr().err == proc.stderr
+            assert "unknown key" in proc.stderr
+    assert cli_io._build_parser() is cli_io._build_parser()
 
 
 def test_cli_accepts_bundled_name(tmp_path):

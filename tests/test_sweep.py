@@ -37,6 +37,16 @@ def test_spec_validation(omega0):
         SweepSpec("transmit", lat, omega0, GAMMA)
     with pytest.raises(ValueError, match="cavity config"):
         SweepSpec("cavity", lat, omega0, GAMMA, probe_grid=np.array([omega0]))
+    # band truncations and gap windows are refused up front, not turned into
+    # one NaN row and one error entry per rho by run_sweep
+    for engine in ("bands", "gaps"):
+        with pytest.raises(ValueError, match="three q-points"):
+            SweepSpec(engine, lat, omega0, GAMMA, n_q=2)
+        with pytest.raises(ValueError, match="one Brillouin zone"):
+            SweepSpec(engine, lat, omega0, GAMMA, n_bz=0)
+    for window in ((omega0 + GAMMA, omega0), (omega0, omega0), (math.nan, omega0)):
+        with pytest.raises(ValueError, match="finite and increasing"):
+            SweepSpec("gaps", lat, omega0, GAMMA, window=window)
 
 
 def test_transmit_single_rho_schema(omega0):
