@@ -9,8 +9,9 @@ Three engines over a shared core:
 * :mod:`bilattice.cavity` -- linearized intracavity steady state, output
   spectra, vacuum Rabi splitting, cavity-induced transparency.
 
-:mod:`bilattice.sweep` drives parameter grids deterministically and
-:mod:`bilattice.cli_io` maps config files and CSV/JSON tables onto them
+:mod:`bilattice.sweep` drives parameter grids deterministically,
+:mod:`bilattice.tableio` writes their tables as CSV or JSON, and
+:mod:`bilattice.cli_io` maps config files and tables onto them
 (`python -m bilattice.cli_io` or the ``bilattice`` script).
 """
 

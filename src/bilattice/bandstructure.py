@@ -457,6 +457,8 @@ def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: floa
     at_lower = _count_below(np.full(column, lower), omega_k, weights, atoms)
     at_upper = _count_below(np.full(column, upper), omega_k, weights, atoms)
     k = np.arange(at_lower.min(), at_upper.max())
+    if not len(k):   # no band reaches the window
+        return np.empty((len(q_grid), 0))
     active = (k >= at_lower) & (k < at_upper)
     seed, half = _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k)
     seeded = active & np.isfinite(seed)

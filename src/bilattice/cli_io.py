@@ -30,18 +30,12 @@ its lattice carries the density its coupling implies, n_s = occupancy /
 
 Output tables are CSV (header row with units in the column names, numbers at
 12 significant digits) or JSON mirroring the same schema (indent 1, NaN as
-null).  Table values are floats, held as cells (see ``sweep.Table``): a
-constant prefix per grid cell plus column arrays, some of them shared by
-every cell.  ``write_table`` formats each prefix once per cell and each
-distinct column once per table with one ``%.12g`` template per call (a shared
-column whole, any other 512 rows at a time), derives each JSON number from
-the same string, and joins the per-column strings into rows, byte-identical
-to per-value ``f"{v:.12g}"`` and to ``json.dumps(indent=1)`` over the rounded
-floats.  Cell errors go to a ``<out>.errors.log`` sidecar, or to stderr when
-the table goes to stdout.  Transmit and cavity tables use exactly the
-columns (omega_p_rad_s, detuning_gamma, T, R, A) resp. (omega_p_rad_s,
-detuning_gamma, intensity_photons_per_s, intensity_norm) for single-geometry
-runs; grid sweeps prepend the varied coordinates.
+null), written by ``tableio.write_table`` (see there for how).  Cell errors
+go to a ``<out>.errors.log`` sidecar, or to stderr when the table goes to
+stdout.  Transmit and cavity tables use exactly the columns (omega_p_rad_s,
+detuning_gamma, T, R, A) resp. (omega_p_rad_s, detuning_gamma,
+intensity_photons_per_s, intensity_norm) for single-geometry runs; grid
+sweeps prepend the varied coordinates.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -53,7 +47,6 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -64,6 +57,7 @@ from .cavity import CavityConfig
 from .constants import C, TWO_PI
 from .core import AtomSpecies, LatticeConfig
 from .sweep import SweepSpec, Table, run_sweep
+from .tableio import write_table
 
 BUNDLED_CONFIGS = (
     "fig2a", "fig2b", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
@@ -230,25 +224,46 @@ def parse_config(text: str) -> RunConfig:
 
     # --- species and reference frequencies ---
     species_name = require("species").token()
+
+    def species(make, frequency_entry: _Entry, gamma_entry: _Entry | None, gamma: float):
+        """make(), its ValueError naming the linewidth's key where the
+        linewidth is not positive, else the key that sets the frequency."""
+        try:
+            return make()
+        except ZeroDivisionError:
+            frequency_entry.fail("puts the transition at zero frequency or wavelength")
+        except ValueError as exc:
+            culprit = gamma_entry if gamma_entry is not None and gamma <= 0 else frequency_entry
+            culprit.fail(str(exc))
+
     if species_name == "custom":
-        wavelength = require("wavelength").scalar(_LENGTH_UNITS, "length")
-        gamma = require("linewidth").scalar(_RATE_UNITS, "rate")
-        base = AtomSpecies.from_wavelength(wavelength, gamma)
+        wavelength_entry, linewidth_entry = require("wavelength"), require("linewidth")
+        wavelength = wavelength_entry.scalar(_LENGTH_UNITS, "length")
+        gamma = linewidth_entry.scalar(_RATE_UNITS, "rate")
+        base = species(lambda: AtomSpecies.from_wavelength(wavelength, gamma),
+                       wavelength_entry, linewidth_entry, gamma)
     else:
         try:
             base = AtomSpecies.named(species_name)
         except KeyError as exc:
             raise ConfigError(str(exc)) from None
     gamma_ref = base.linewidth
-    lattice_det = require("lattice_detuning").scalar({"gamma": gamma_ref}, "detuning")
-    omega0 = base.transition_frequency + lattice_det
+    lattice_entry = require("lattice_detuning")
+    omega0 = base.transition_frequency + lattice_entry.scalar({"gamma": gamma_ref}, "detuning")
+    if omega0 <= 0:
+        lattice_entry.fail(
+            f"puts the lattice light at omega_0 = {omega0:.6g} rad/s; it must be positive"
+        )
     cell_size = TWO_PI * C / omega0
 
     def species_at(offset_key: str, gamma_key: str) -> AtomSpecies:
-        offset = require(offset_key).scalar({"gamma": gamma_ref}, "detuning")
+        offset_entry = require(offset_key)
+        omega = omega0 + offset_entry.scalar({"gamma": gamma_ref}, "detuning")
         entry = take(gamma_key)
         gamma_j = entry.scalar(_RATE_UNITS, "rate") if entry else gamma_ref
-        return AtomSpecies.from_frequency(omega0 + offset, gamma_j)
+        return species(
+            lambda: AtomSpecies.from_frequency(omega, gamma_j), offset_entry, entry, gamma_j
+        )
 
     species_even = species_at("omega_even", "gamma_even")
     species_odd = species_at("omega_odd", "gamma_odd")
@@ -422,172 +437,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# table output
-
-
-_BLOCK_ROWS = 512   # rows laid out at a time; bounds the transient strings
-_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-_POSITIONAL_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
-
-
-def _json_number(s: str) -> str:
-    """JSON token of a ``%.12g`` string: json.dumps(float(s)), NaN as null.
-
-    Most strings are their own token.  These are not: exponents 12 to 15,
-    which repr writes positionally ('2.4149e+15' -> '2414900000000000.0');
-    exponents -308 and below, where the subnormals are and repr can be
-    shorter ('4.1000000002e-314' -> '4.1e-314'; every exponent starting
-    with -3 takes that path); NaN and the infinities; and integer values
-    ('3' -> '3.0').
-    """
-    if s[-4:] in _POSITIONAL_EXPONENTS:
-        # an integer of at most 12 significant digits, exact as a double,
-        # so its fixed-point form is its repr (and '%d' is faster to produce)
-        return "%d.0" % float(s)
-    if "e-3" in s:
-        return repr(float(s))
-    if "n" in s:
-        return _NON_FINITE[s]
-    if "e" not in s and "." not in s:
-        return s + ".0"
-    return s
-
-
-def _formatted(values) -> str:
-    """A column's values as %.12g strings, one per line, from one '%' call."""
-    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-    return "\n".join(["%.12g"] * len(values)) % values
-
-
-def _csv_tokens(values) -> list[str]:
-    """The CSV tokens of a column's values: its %.12g strings."""
-    return _formatted(values).split("\n") if len(values) else []
-
-
-def _json_tokens(values) -> list[str]:
-    """The JSON tokens of a column's values (see ``_json_number``)."""
-    if not len(values):
-        return []
-    text = _formatted(values)
-    strings = text.split("\n")
-    if text.count(".") == len(strings) and "e+1" not in text and "e-3" not in text:
-        # each string has its one '.', so none is an integer, NaN or an
-        # infinity, and none has an exponent that _json_number rewrites
-        return strings
-    # a fraction without exponent, or a negative exponent that does not
-    # start with 3, is its own token
-    return [
-        s if "." in s and "e" not in s or "e-" in s and "e-3" not in s
-        else _json_number(s)
-        for s in strings
-    ]
-
-
-def _cell_texts(table: Table, tokens, sep: str, start: str, end: str, between: str):
-    """Each non-empty cell's rows, each row ``start`` + its tokens joined by
-    ``sep`` + ``end``, the rows joined by ``between``.
-
-    ``tokens`` maps a sequence of values to their output strings.  A cell's
-    prefix is formatted once, and each distinct column object once for the
-    whole table: a column that several cells (or one cell twice) pass is
-    formatted whole and kept, any other a block of ``_BLOCK_ROWS`` rows at a
-    time.  The rows are the per-column strings joined side by side.
-    """
-    cells = table.cells
-    uses = Counter(id(column) for cell in cells for column in cell.columns)
-    shared = {}   # id(column) -> its strings, for a column passed more than once
-
-    def strings(column, lo: int, hi: int) -> list[str]:
-        if uses[id(column)] == 1:
-            return tokens(column[lo:hi])
-        if id(column) not in shared:
-            shared[id(column)] = tokens(column)
-        return shared[id(column)][lo:hi]
-
-    for prefix, columns in cells:
-        n = len(columns[0]) if columns else 0
-        if n == 0:
-            continue
-        if len(prefix) + len(columns) != len(table.columns) or any(len(c) != n for c in columns):
-            raise ValueError(
-                f"a cell of {len(prefix)} prefix values and columns of lengths "
-                f"{[len(c) for c in columns]} in a table of {len(table.columns)} columns"
-            )
-        lead = start + "".join(s + sep for s in tokens(prefix))
-        row_sep = end + between + lead
-        blocks = (
-            row_sep.join(map(sep.join, zip(*(strings(c, lo, lo + _BLOCK_ROWS) for c in columns))))
-            for lo in range(0, n, _BLOCK_ROWS)
-        )
-        yield lead + row_sep.join(blocks) + end
-
-
-def _csv_payload(table: Table) -> str:
-    cells = _cell_texts(table, _csv_tokens, ",", "", "", "\n")
-    return "\n".join([",".join(table.columns), *cells, ""])
-
-
-def _json_payload(table: Table) -> str:
-    """The bytes of json.dumps(indent=1) over the table with its values
-    rounded to 12 digits, with the rows laid out here, a cell at a time."""
-    rows = ",\n".join(_cell_texts(table, _json_tokens, ",\n   ", "  [\n   ", "\n  ]", ",\n"))
-    start, end = ("[\n", "\n ]") if rows else ("[", "]")
-    head = json.dumps({"columns": table.columns}, indent=1)[:-2]
-    meta = json.dumps({"meta": _jsonable(table.meta)}, indent=1)[2:]
-    # one copy of the rows text into the document
-    return f'{head},\n "rows": {start}{rows}{end},\n{meta}\n'
-
-
-def write_table(table: Table, destination, fmt: str = "csv") -> None:
-    """Serialize a sweep table as CSV or JSON (12 significant digits).
-
-    Values are floats (see ``Table``).  Each prefix is formatted once per
-    cell and each distinct column object once per table, with one ``%.12g``
-    template per call (see ``_cell_texts``), and JSON tokens are derived from
-    the same strings.  The bytes are those of formatting every value of every row as
-    ``f"{v:.12g}"`` (CSV) or of ``json.dumps(indent=1)`` over
-    ``float(f"{v:.12g}")`` with NaN as null (JSON).
-
-    ``destination`` is a path or '-' for stdout.  The sweep's cell errors go,
-    one JSON object per line, to a sidecar ``<dest>.errors.log`` next to a
-    file (a stale sidecar is removed when there are none) or to stderr
-    alongside stdout.
-    """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    payload = _csv_payload(table) if fmt == "csv" else _json_payload(table)
-    errors = table.meta.get("errors") or []
-    log = "".join(json.dumps(_jsonable(e)) + "\n" for e in errors)
-    if destination in (None, "-"):
-        sys.stdout.write(payload)
-        sys.stderr.write(log)
-        return
-    path = Path(destination)
-    sidecar = Path(str(path) + ".errors.log")
-    try:
-        path.write_text(payload, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write table to {path}: {exc}") from exc
-    if log:
-        sidecar.write_text(log, encoding="utf-8")
-    else:
-        sidecar.unlink(missing_ok=True)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None   # JSON has no NaN; mirror CSV's 'nan' as null
-        return float(f"{obj:.12g}")
-    return obj
+# tables (written by ``tableio.write_table``)
 
 
 def read_table(path) -> Table:

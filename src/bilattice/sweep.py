@@ -49,8 +49,8 @@ class Table:
     """Named columns, their data as a list of cells, and run metadata.
 
     The table's rows are the rows of its cells in order.  Every value is a
-    float (Python or numpy); ``cli_io.write_table`` formats them with
-    ``%.12g`` and formats each prefix once per cell and each distinct column
+    float (Python or numpy); ``tableio.write_table`` writes them at 12
+    significant digits and renders each prefix and each distinct column
     object once per table.
 
     ``rows`` is a list-of-tuples view for callers that want rows.  Its first

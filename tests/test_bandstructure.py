@@ -367,6 +367,28 @@ def test_window_bands_survive_wrong_seeds(shift, monkeypatch):
         assert calls > 30
 
 
+def test_empty_window_returns_after_the_two_edge_counts(monkeypatch):
+    # a window inside a gap of fig4 at rho = 0 holds no band at any q: the
+    # two window-edge counts say so, and nothing is seeded or checked
+    spec = parse_config(bundled_config_text("fig4")).sweep
+    lat = spec.lattice.replace(intracell_distance=0.0)
+    scan = gap_widths_vs_rho(lat, [0.0], window=spec.window, n_bz=spec.n_bz, n_q=spec.n_q)
+    gap = scan[0].gaps[0]
+    quarter = 0.25 * (gap.upper_edge - gap.lower_edge)
+    counts, seeds = [], []
+    count_below, band_seeds = bandstructure._count_below, bandstructure._band_seeds
+    monkeypatch.setattr(
+        bandstructure, "_count_below", lambda *a: counts.append(1) or count_below(*a)
+    )
+    monkeypatch.setattr(bandstructure, "_band_seeds", lambda *a: seeds.append(1) or band_seeds(*a))
+    q_grid = _q_grid(lat, spec.n_q)
+    bands = _window_bands(
+        lat, q_grid, spec.n_bz, gap.lower_edge + quarter, gap.upper_edge - quarter
+    )
+    assert bands.shape == (spec.n_q, 0)
+    assert len(counts) == 2 and not seeds
+
+
 @pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
 def test_seed_brackets_hold_the_bisected_values(name, monkeypatch):
     # every band that reaches the window is seeded within its bracket, so

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilattice import cli_io
+from bilattice import cli_io, tableio
 from bilattice.cli_io import (
     BUNDLED_CONFIGS,
     ConfigError,
     RunConfig,
-    _jsonable,
     bundled_config_text,
     main,
     parse_config,
@@ -28,6 +28,7 @@ from bilattice.cli_io import (
 from bilattice.constants import C, TWO_PI
 from bilattice.core import cavity_coupling
 from bilattice.sweep import Cell, Table, run_sweep
+from bilattice.tableio import _jsonable
 
 from conftest import GAMMA
 
@@ -310,9 +311,19 @@ def edge_table(n_rows: int = 1100) -> Table:
     return Table(["x", "y", "z"], rows, {"engine": "test", "grid": [0.5, math.nan]})
 
 
+def zero_row_cell_table() -> Table:
+    axis = np.array([1.5, -2.0, 3e-7])
+    cells = [Cell((0.25,), (axis, axis[::-1])), Cell((0.5,), (axis[:0], axis[:0])),
+             Cell((0.75,), (axis, -axis))]
+    return Table(["p", "x", "y"], meta={"engine": "test"}, cells=cells)
+
+
 @pytest.mark.parametrize("fmt, oracle", [("csv", oracle_csv), ("json", oracle_json)])
 def test_block_writer_matches_per_value_rules_on_edge_values(tmp_path, fmt, oracle):
-    for table in (edge_table(), edge_table(5), Table(["x", "y"], [])):
+    for table in (
+        edge_table(), edge_table(5), edge_table(1), Table(["x", "y"], []),
+        Table(["x", "y"], meta={"engine": "test"}, cells=[]), zero_row_cell_table(),
+    ):
         path = tmp_path / f"t.{fmt}"
         write_table(table, path, fmt)
         assert path.read_bytes() == oracle(table).encode("utf-8")
@@ -363,6 +374,8 @@ def test_misshapen_tables_are_refused(tmp_path, fmt):
 @pytest.mark.parametrize(
     "name, fmt, oracle",
     [
+        ("fig2b", "csv", oracle_csv),
+        ("fig2b", "json", oracle_json),
         ("fig8", "csv", oracle_csv),
         ("fig9", "json", oracle_json),
         ("fig10", "csv", oracle_csv),
@@ -381,10 +394,14 @@ def test_each_distinct_column_is_formatted_once(tmp_path, monkeypatch, fmt):
     # fig9: 3 rho cells of 4801 rows; omega_p and detuning are shared
     table = run_sweep(parse_config(bundled_config_text("fig9")).sweep)
     formatted = []
-    original = cli_io._formatted
-    monkeypatch.setattr(cli_io, "_formatted", lambda v: formatted.append(len(v)) or original(v))
+    original = tableio._token_slots
+    monkeypatch.setattr(
+        tableio, "_token_slots", lambda v, kind: formatted.append(len(v)) or original(v, kind)
+    )
     write_table(table, tmp_path / f"t.{fmt}", fmt)
     assert sum(formatted) == 2 * 4801 + 3 * (2 + 2 * 4801) < len(table.rows) * 6
+    # a few thousand values per numpy pass
+    assert max(formatted) <= 4096 and len(formatted) <= 10
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -425,6 +442,95 @@ def test_round_trip_returns_12_digit_values(tmp_path_factory, rows, fmt):
     # repr tells -0.0 from 0.0 and compares NaN equal to itself
     expected = [[repr(float(f"{v:.12g}")) for v in row] for row in rows]
     assert [[repr(v) for v in row] for row in back.rows] == expected
+
+
+# The renderer against the per-value rules, token by token.
+
+
+def oracle_token(v: float, json_tokens: bool) -> str:
+    if not json_tokens:
+        return f"{v:.12g}"
+    return "null" if math.isnan(v) else json.dumps(float(f"{v:.12g}"))
+
+
+def tokens(values, json_tokens: bool) -> list[str]:
+    slots = tableio._token_slots(np.array(values, dtype=float), json_tokens)
+    return [column[column != 0].tobytes().decode("ascii") for column in slots.T]
+
+
+def nudged(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+signs = st.sampled_from([1.0, -1.0])
+raw_doubles = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+# k 10^e a few ulps either side, where the decimal exponent changes
+decade_edges = st.builds(
+    lambda k, e, ulps, sign: sign * nudged(float(f"{k}e{e}"), ulps),
+    st.sampled_from(["1", "2", "5", "9.99999999999", "9.999999999995", "9.9999999999995"]),
+    st.integers(-45, 60),
+    st.integers(-3, 3),
+    signs,
+)
+# significands (m + 1/2 + j 1e-4) 10^(X - 11): within 1e-3 of a rounding tie
+near_ties = st.builds(
+    lambda m, j, x, ulps, sign: sign * nudged(float(f"{m * 10000 + 5000 + j}e{x - 15}"), ulps),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-10, 10),
+    st.integers(-40, 60),
+    st.integers(-2, 2),
+    signs,
+)
+# decimal exponents where a notation starts or ends, short and long digits
+switch_points = st.builds(
+    lambda m, x, sign: sign * float(f"{m}e{x - len(str(m)) + 1}"),
+    st.one_of(st.integers(1, 999), st.integers(1, 10**12 - 1), st.integers(10**15, 10**17)),
+    st.sampled_from([-5, -4, 11, 12, 15, 16]),
+    signs,
+)
+specials = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-33, 1e55, -1e55]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),   # subnormals
+)
+token_doubles = st.one_of(raw_doubles, decade_edges, near_ties, switch_points, specials)
+
+
+@settings(max_examples=600, deadline=None)
+@given(values=st.lists(token_doubles, min_size=1, max_size=24))
+def test_token_slots_match_per_value_formatting(values):
+    for json_tokens in (False, True):
+        assert tokens(values, json_tokens) == [oracle_token(v, json_tokens) for v in values]
+
+
+def test_fallback_renders_only_near_ties_of_certified_range(monkeypatch):
+    # log-uniform over the range the renderer certifies: only values within
+    # 1e-3 of a rounding tie (0.2%) leave the numpy path for '%.12g'
+    rng = np.random.default_rng(2024)
+    values = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-33, 55, 20000)
+    values = values[(np.abs(values) >= 1e-33) & (np.abs(values) < 1e55)]
+    for json_tokens in (False, True):
+        tableio._glyphs(json_tokens)   # the tables are built on first use
+        fallback = []
+        original = tableio._slots
+        monkeypatch.setattr(
+            tableio, "_slots", lambda s, w: fallback.append(len(s)) or original(s, w)
+        )
+        got = tokens(values, json_tokens)
+        monkeypatch.undo()
+        assert got == [oracle_token(v, json_tokens) for v in values.tolist()]
+        assert 0 < sum(fallback) < 0.005 * len(values)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_gets_the_bytes_of_the_file(tmp_path, capsysbinary, fmt):
+    # fig10: three cells with a (rho, phi) prefix, of five row blocks each
+    out = tmp_path / f"fig10.{fmt}"
+    assert main(["cavity", "--config", "fig10", "--format", fmt, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(["cavity", "--config", "fig10", "--format", fmt, "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +593,21 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("gaps", bundled_config_text("fig4").replace("n_bz = 40", "n_bz = -3"), "key 'n_bz'"),
         ("bands", bundled_config_text("fig2a").replace("n_bz = 40", "n_bz = 0"), "key 'n_bz'"),
         ("bands", bundled_config_text("fig2a").replace("n_q = 401", "n_q = 2"), "key 'n_q'"),
+        # detunings that put the lattice light or a transition at or below 0
+        (
+            "transmit",
+            bundled_config_text("fig6").replace(
+                "lattice_detuning = 10 gamma", "lattice_detuning = -1e9 gamma"
+            ),
+            "line 5: key 'lattice_detuning'",
+        ),
+        (
+            "gaps",
+            bundled_config_text("fig4").replace(
+                "omega_odd = 530 gamma", "omega_odd = -6.6e7 gamma"
+            ),
+            "line 7: key 'omega_odd'",
+        ),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
