@@ -14,18 +14,17 @@ diagonalizes it densely with ``np.linalg.eigvalsh``.  Gap detection
 (``gap_widths_vs_rho``) needs only the bands that reach its frequency
 window and diagonalizes no Bloch matrix: the number of eigenvalues below
 omega is #(omega_k < omega) plus the negative inertia of a 2x2 Schur
-complement (Sylvester's law of inertia), an O(n_G) count per q, and
-bisection on that count gives each band value to float64 resolution
-(Barth, Martin & Wilkinson, Numer. Math. 9, 1967; Golub, SIAM Rev. 15,
-1973).  The
-bisection starts from a bracket a few ulps wide about a prediction: the
-eigenvalues of a small effective Hamiltonian per q, the atom rows bordered
-by the photon modes in or near the window, with every other mode folded
-into the atom block to first order in omega.  The count checks each
-bracket before it is used, and a bracket that fails restarts from the
-whole window, as LAPACK's dstebz keeps its count as the safeguard; the
-values are those of a bisection from the whole window, bit for bit.  The
-scan covers only q >= 0: time reversal makes the matrix at -q the complex
+complement (Sylvester's law of inertia), an O(n_G) count per q, and each
+band value is the adjacent float64 pair at which that count passes the
+band index (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; Golub, SIAM
+Rev. 15, 1973).  The pair is sought at a prediction, an eigenvalue of a
+small effective Hamiltonian per q: the atom rows bordered by the photon
+modes in or near the window, with every other mode folded into the atom
+block to first order in omega.  Two counts, at the prediction and at the
+float next to it, certify it; a value they do not certify is bisected
+from the whole window, as LAPACK's dstebz keeps its count as the
+safeguard.  The values are those of a bisection from the whole window,
+bit for bit.  The scan covers only q >= 0: time reversal makes the matrix at -q the complex
 conjugate of the one at q with modes m and -m swapped, so
 omega_n(-q) = omega_n(q).
 
@@ -357,7 +356,7 @@ def _count_below(omega, omega_k, weights, atoms) -> np.ndarray:
 
 
 def _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k):
-    """Predicted value of band k at each q, and the half-width to search about it.
+    """Predicted value of band k at each q.
 
     The prediction is an eigenvalue of a small effective Hamiltonian per q:
     the two atom rows bordered by the photon modes in or near the window,
@@ -377,10 +376,9 @@ def _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k):
     eigenvalues are the predicted delta, one ``eigvalsh`` batch over all q;
     rows are padded to one size with decoupled modes far above the window.
     Band k at row q takes the (k - at_lower[q] + #predictions below
-    lower)-th prediction, with a half-width of 32 ulps plus the row's summed
-    remainder bounds.  Returns two (n_q, n_k) arrays; the value is NaN where
-    no prediction maps to the band.  Only a bisection bracket is built from
-    them: the count checks it, and no band value is taken from a prediction.
+    lower)-th prediction.  Returns an (n_q, n_k) array, NaN where no
+    prediction maps to the band.  A prediction is only a place to count:
+    no band value is taken from it before the count certifies it.
     """
     centre, h = 0.5 * (lower + upper), 0.5 * (upper - lower)
     detuning = omega_k - centre
@@ -423,32 +421,31 @@ def _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k):
     m[row, slot, 1] = np.conj(m[row, 1, slot])
     seeds = centre + np.linalg.eigvalsh(m)                      # (n_q, n), ascending
     pick = k - at_lower + np.count_nonzero(seeds < lower, axis=1)[:, None]
-    seed = np.where(
+    return np.where(
         (pick >= 0) & (pick < n), seeds[np.arange(n_q)[:, None], np.clip(pick, 0, n - 1)], np.nan
     )
-    half = 32.0 * np.spacing(seed) + np.sum(remainder, axis=1, where=far)[:, None]
-    return seed, half
 
 
 def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: float, upper: float):
     """Values on ``q_grid`` of the bands that reach [lower, upper], clamped to it.
 
     Band k (0-based, ascending) is kept when it lies at or above ``lower`` at
-    some q and below ``upper`` at some q.  Each band value is bisected on
-    the eigenvalue count until the float64 midpoint stops moving; no
-    Bloch matrix is assembled or diagonalized.  The bisection starts from
-    a narrow bracket about the prediction of ``_band_seeds``, clipped to
-    the window, once the count has checked it: count(lo) <= k < count(hi).
-    A pair whose bracket fails the check, or that has no prediction,
-    starts from [lower, upper] instead; a pair clamped to the window gets
-    the zero-width bracket [lower, lower].  The count is monotone in omega
-    at float resolution, so any checked bracket ends at the adjacent float
-    pair a bisection from [lower, upper] ends at, and every value is that
-    bisection's bit for bit.  Each q is bisected on its own,
-    so any subset of a grid, such as the q >= 0 half the gap scan passes,
-    gives the values of the whole grid at those q; by time reversal the
-    values at q and -q agree (the count at -q sums the same terms with
-    modes m and -m swapped, and reads c2 only through |c1 c2*|^2).
+    some q and below ``upper`` at some q.  Its value is the midpoint of the
+    adjacent float pair where the eigenvalue count passes k, the pair a
+    bisection on the count from [lower, upper] ends at; no Bloch matrix is
+    assembled or diagonalized.  Two counts certify the pair at the
+    prediction s of ``_band_seeds``: one at s, one at the float next to s
+    on the side where that count puts band k.  The count is monotone in
+    omega at float resolution, so a pair inside the window with
+    count(lo) <= k < count(hi) is the bisection's, bit for bit.  A pair not
+    certified (no prediction, or one more than an ulp off) is bisected from
+    [lower, upper]; a pair clamped to the window gets [lower, lower].  Every
+    count after the two window edges has the (n_q, n_k) shape of a
+    bisection step.  Each q is computed on its own, so any subset of a
+    grid, such as the q >= 0 half the gap scan passes, gives the values of
+    the whole grid at those q; by time reversal the values at q and -q
+    agree (the count at -q sums the same terms with modes m and -m swapped,
+    and reads c2 only through |c1 c2*|^2).
     """
     omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, _default_ir_cutoff(cfg))
     weights = _coupling_weights(c1, c2)
@@ -460,16 +457,15 @@ def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: floa
     if not len(k):   # no band reaches the window
         return np.empty((len(q_grid), 0))
     active = (k >= at_lower) & (k < at_upper)
-    seed, half = _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k)
-    seeded = active & np.isfinite(seed)
-    lo = np.where(seeded, np.fmax(seed - half, lower), lower)
-    hi = np.where(seeded, np.fmin(seed + half, upper), lower)
-    missed = active & (
-        (_count_below(lo, omega_k, weights, atoms) > k)
-        | (_count_below(hi, omega_k, weights, atoms) <= k)
-    )
-    lo = np.where(missed, lower, lo)
-    hi = np.where(missed, upper, hi)
+    seed = _band_seeds(omega_k, c1, c2, weights, atoms, lower, upper, at_lower, k)
+    seed = np.where(np.isfinite(seed), seed, lower)
+    above = _count_below(seed, omega_k, weights, atoms) > k    # band k lies below the seed
+    step = np.nextafter(seed, np.where(above, -np.inf, np.inf))
+    lo, hi = np.minimum(seed, step), np.maximum(seed, step)
+    certified = active & ((_count_below(step, omega_k, weights, atoms) > k) != above)
+    certified &= (lo >= lower) & (hi <= upper)
+    lo = np.where(certified, lo, lower)
+    hi = np.where(certified, hi, np.where(active, upper, lower))
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
         below = _count_below(mid, omega_k, weights, atoms) > k  # band k lies below mid
@@ -507,13 +503,12 @@ def gap_widths_vs_rho(
     """Numeric (full BZ sweep) and analytic gap widths on a grid of rho values.
 
     The numeric gaps are those ``find_gaps`` reports for the full-BZ band
-    structure, with each band that reaches the window found by inertia
-    bisection (``_window_bands``) instead of a dense eigensolve; the
-    bisection starts from a seeded bracket the count has checked, and from
-    the whole window where the check fails.  Only the
-    q >= 0 half of the symmetric n_q grid is bisected: time reversal gives
-    omega_n(-q) = omega_n(q), so it holds every band's min and max, the only
-    band data ``find_gaps`` reads.  The
+    structure, with each band that reaches the window found on the inertia
+    count (``_window_bands``) instead of a dense eigensolve: two counts
+    certify each seeded value, and a value they do not certify is bisected
+    from the whole window.  Only the q >= 0 half of the symmetric n_q grid
+    is scanned: time reversal gives omega_n(-q) = omega_n(q), so it holds
+    every band's min and max, the only band data ``find_gaps`` reads.  The
     analytic column is filled only when the two species share a transition
     frequency, the validity domain of the band-edge formula.  A given
     ``window`` must be finite and increasing.

@@ -6,9 +6,11 @@ transmit and cavity engines evaluate a cell's whole probe grid in one call.
 Each grid cell becomes one ``Cell`` of the table, built straight from the
 engine arrays: the cell's constant coordinates as a prefix, and its column
 arrays, among them the axes every cell shares (the probe grid and detuning,
-the q grid), passed as the same array object to every cell.  A failing cell
-or probe point contributes NaN-marked rows and an entry in the table's error
-list instead of aborting the sweep (unless fail_fast is set).
+the q grid), passed as the same array object to every cell.  The gaps
+engine, one row per rho, makes one cell of the whole scan instead, with
+rho/a as its first column.  A failing cell or probe point contributes
+NaN-marked rows and an entry in the table's error list instead of
+aborting the sweep (unless fail_fast is set).
 """
 
 from __future__ import annotations
@@ -233,25 +235,28 @@ def _gaps_table(spec: SweepSpec) -> Table:
             min_band_width=spec.min_band_width,
         )[0]
         row = [float(len(entry.gaps))]
-        for i in range(_GAP_SLOTS):
-            if i < len(entry.gaps):
-                g = entry.gaps[i]
-                row += [
-                    _gamma_units(spec, g.lower_edge),
-                    _gamma_units(spec, g.upper_edge),
-                    g.width / spec.reference_linewidth,
-                ]
-            else:
-                row += [NAN, NAN, NAN]
+        for g in entry.gaps[:_GAP_SLOTS]:
+            row += [_gamma_units(spec, g.lower_edge), _gamma_units(spec, g.upper_edge),
+                    g.width / spec.reference_linewidth]
+        row += [NAN] * (1 + 3 * _GAP_SLOTS - len(row))
         if entry.analytic_edges is not None:
             row += [_gamma_units(spec, nu) for nu in entry.analytic_edges]
             w1, w2 = entry.analytic_widths
             row += [w1 / spec.reference_linewidth, w2 / spec.reference_linewidth]
         else:
             row += [NAN] * 6
-        return tuple((v,) for v in row)   # one row
+        return row
 
-    return _rho_cells(spec, table, run)
+    rows = []
+    for (row, err), rho in zip(_map_cells(spec, rhos, run), rhos):
+        if err is not None:
+            table.errors.append({"rho": float(rho), "error": err})
+            row = [NAN] * (len(columns) - 1)
+        rows.append(row)
+    # one cell for the whole scan, so that each column is rendered and laid
+    # out once, not once per rho
+    table.cells.append(Cell((), (rhos / cfg.cell_size, *np.array(rows).T)))
+    return table
 
 
 def _transmit_table(spec: SweepSpec) -> Table:

@@ -356,8 +356,7 @@ def test_window_bands_survive_wrong_seeds(shift, monkeypatch):
     seeds = bandstructure._band_seeds
 
     def wrong_seeds(*args):
-        seed, half = seeds(*args)
-        return seed + shift, half
+        return seeds(*args) + shift
 
     monkeypatch.setattr(bandstructure, "_band_seeds", wrong_seeds)
     for cfg, q_grid, n_bz, lower, upper, bands, calls in bundled_scan_bands(
@@ -365,6 +364,26 @@ def test_window_bands_survive_wrong_seeds(shift, monkeypatch):
     ):
         assert np.array_equal(bands, bisect_window_bands(cfg, q_grid, n_bz, lower, upper))
         assert calls > 30
+
+
+def test_certified_values_stay_inside_the_window(monkeypatch):
+    # a certified pair must lie inside [lower, upper], the only pairs a
+    # bisection from the window can end at: here the (n_q, n_k) counts read
+    # one more than the window-edge count at exactly `lower`, as rounding
+    # that depends on the batch shape could, and every pair is seeded there
+    spec = parse_config(bundled_config_text("fig4")).sweep
+    lat = spec.lattice
+    q_grid = _q_grid(lat, spec.n_q)[spec.n_q // 2:]
+    lower, upper = spec.window
+    want = bisect_window_bands(lat, q_grid, spec.n_bz, lower, upper)
+    count_below = bandstructure._count_below
+
+    def shifted_at_lower(omega, *args):
+        return count_below(omega, *args) + ((omega == lower) & (omega.shape[1] > 1))
+
+    monkeypatch.setattr(bandstructure, "_count_below", shifted_at_lower)
+    monkeypatch.setattr(bandstructure, "_band_seeds", lambda *args: np.full(want.shape, lower))
+    assert np.array_equal(_window_bands(lat, q_grid, spec.n_bz, lower, upper), want)
 
 
 def test_empty_window_returns_after_the_two_edge_counts(monkeypatch):
@@ -391,8 +410,9 @@ def test_empty_window_returns_after_the_two_edge_counts(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
 def test_seed_brackets_hold_the_bisected_values(name, monkeypatch):
-    # every band that reaches the window is seeded within its bracket, so
-    # no pair falls back to bisecting the whole window
+    # every band that reaches the window is seeded within an ulp of its
+    # value, so the two counts about the seed certify it and no pair falls
+    # back to bisecting the whole window
     seeds = []
 
     def recording_seeds(*args):
@@ -401,24 +421,36 @@ def test_seed_brackets_hold_the_bisected_values(name, monkeypatch):
 
     monkeypatch.setattr(bandstructure, "_band_seeds", recording_seeds)
     scans = bundled_scan_bands(name, (0.0, 0.25, 0.5, 0.137), monkeypatch)
-    for (seed, half), (cfg, q_grid, n_bz, lower, upper, bands, calls) in zip(seeds, scans):
+    for seed, (cfg, q_grid, n_bz, lower, upper, bands, calls) in zip(seeds, scans):
         want = bisect_window_bands(cfg, q_grid, n_bz, lower, upper)
         assert np.array_equal(bands, want)
         active = (lower < want) & (want < upper)
         assert active.any()
-        assert np.all(np.abs(seed - want)[active] <= half[active])
-        assert np.all(half[active] < 1e-4 * GAMMA)
+        assert np.all(np.abs(seed - want)[active] <= np.spacing(want[active]))
+        assert calls == 4
 
 
 @pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
-def test_bundled_gap_scans_take_at_most_10_counts_per_rho(name, monkeypatch):
-    # two window-edge counts, two bracket checks and six steps from a
-    # 64-ulp bracket down to adjacent floats
+def test_bundled_gap_scans_take_4_counts_per_rho(name, monkeypatch):
+    # two window-edge counts, then one count at each seed and one at the
+    # float next to it, which certify every band value
     spec = parse_config(bundled_config_text(name)).sweep
     fracs = spec.resolved_rhos() / spec.lattice.cell_size
     scans = bundled_scan_bands(name, fracs, monkeypatch)
     assert len(scans) == len(fracs)
-    assert max(calls for *_, calls in scans) <= 10
+    assert [calls for *_, calls in scans] == [4] * len(fracs)
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "value", "above"])
+def test_seeds_at_and_next_to_the_value_give_the_bisected_values(side, monkeypatch):
+    # a seed at the bisected value is certified; a seed one float off is
+    # certified or falls back, and either way the value is the bisection's
+    scans = bundled_scan_bands("fig4", (0.0, 0.137), monkeypatch)
+    for cfg, q_grid, n_bz, lower, upper, _, _ in scans:
+        want = bisect_window_bands(cfg, q_grid, n_bz, lower, upper)
+        seed = want if side == 0 else np.nextafter(want, side * np.inf)
+        monkeypatch.setattr(bandstructure, "_band_seeds", lambda *args: seed)
+        assert np.array_equal(_window_bands(cfg, q_grid, n_bz, lower, upper), want)
 
 
 # ---------------------------------------------------------------------------

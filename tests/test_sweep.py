@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bilattice import cavity as cavity_mod, transfer_matrix
+from bilattice.cli_io import bundled_config_text, parse_config
 from bilattice.sweep import SweepSpec, run_sweep
 
 from conftest import GAMMA, make_cavity, make_lattice
@@ -194,6 +195,24 @@ def test_gaps_engine_numeric_matches_analytic_columns(omega0):
             num = row[cols[f"gap{k}_width_gamma"]]
             ana = row[cols[f"analytic_gap{k}_width_gamma"]]
             assert num == pytest.approx(ana, abs=0.5)   # cover_tol-limited edges
+
+
+def test_failed_gap_rho_keeps_its_nan_row_in_place():
+    # the gap scan is one cell; a rho outside [0, a] fails alone, as a NaN
+    # row where it stands and one error entry
+    def scan(rho_values):
+        text = bundled_config_text("fig4").replace(
+            "rho_min = 0 a\nrho_max = 1 a\nrho_points = 51", f"rho_values = {rho_values} a"
+        )
+        return run_sweep(parse_config(text).sweep)
+
+    table, clean = scan("0.2, 1.5, 0.4"), scan("0.2, 0.4")
+    assert len(table.cells) == 1
+    rows, clean_rows = np.array(table.rows), np.array(clean.rows)
+    assert np.array_equal(rows[[0, 2]], clean_rows, equal_nan=True)
+    assert rows[1, 0] == pytest.approx(1.5) and np.isnan(rows[1, 1:]).all()
+    assert len(table.errors) == 1 and not clean.errors
+    assert "outside [0, a]" in table.errors[0]["error"]
 
 
 def test_cavity_engine_table_and_peak_meta(omega0):

@@ -305,6 +305,56 @@ def test_real_xi_stack_conserves_energy(xis, rho_frac, n):
     assert np.all(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0) <= tolerance)
 
 
+def matrix_power(cell: ScatterMatrix, n: int) -> ScatterMatrix:
+    """cell^n by repeated squaring with ``ScatterMatrix.__matmul__``."""
+    power, square = None, cell
+    while True:
+        if n & 1:
+            power = square if power is None else power @ square
+        n >>= 1
+        if not n:
+            return power
+        square = square @ square
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    xis=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+        min_size=1,
+        max_size=32,
+    ),
+    rho_frac=st.floats(0.0, 1.0),
+    sizes=st.integers(1, 1_000_000).flatmap(
+        lambda n1: st.tuples(st.just(n1), st.integers(1, 1_000_000 // n1))
+    ),
+)
+def test_stack_of_blocks_equals_stack_of_cells(xis, rho_frac, sizes):
+    # n1 n2 cells are n2 blocks of n1 cells; the block is composed by matrix
+    # products, so both sides carry the ~n eps/|sin Theta| error of the
+    # energy property above, here with a factor 10 of room
+    n1, n2 = sizes
+    xi1, xi2, k_scale = np.array(xis).T
+    k_p = k_scale * TWO_PI / 780e-9
+    a = 780e-9
+    cells = period_matrix(xi1, rho_frac * a, k_p) @ period_matrix(xi2, (1 - rho_frac) * a, k_p)
+    r, t = stack_coefficients(cells, n1 * n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # deep in a stop band the block's entries grow as e^(n1 Im Theta)
+        block = matrix_power(cells, n1)
+        r_block, t_block = stack_coefficients(block, n2)
+        # the closed form's relative error in t grows as n eps |Tr/2|^2 (and
+        # is NaN from |Tr/2| ~ 1e8), so a block deeper in a stop band than
+        # |Tr| = 2e3 is no oracle
+        kept = np.abs(block.trace) <= 2e3
+    sin_theta = np.sqrt(np.abs(1.0 - (cells.trace / 2) ** 2))
+    with np.errstate(divide="ignore"):
+        tolerance = 1e-12 + 1e-13 * n1 * n2 / sin_theta
+    assert kept[np.abs(cells.trace) <= 2.0].all()   # every pass-band lane is compared
+    for got, want in ((r_block, r), (t_block, t)):
+        assert np.all((np.abs(got - want) <= tolerance)[kept])
+
+
 def test_stack_coefficient_determinant_form():
     rng = np.random.default_rng(47)
     for _ in range(200):
