@@ -13,93 +13,52 @@ Three engines over a shared core:
 :mod:`bilattice.tableio` writes their tables as CSV or JSON, and
 :mod:`bilattice.cli_io` maps config files and tables onto them
 (`python -m bilattice.cli_io` or the ``bilattice`` script).
+
+``import bilattice`` imports none of these modules.  Each public name below
+is looked up in its module on first use (PEP 562), so a program that uses
+one engine imports only that engine.
 """
 
-from .bandstructure import (
-    BandStructure,
-    BlochMatrix,
-    Gap,
-    analytic_band_edges,
-    build_bloch_matrix,
-    compute_bands,
-    find_gaps,
-    gap_widths_vs_rho,
-)
-from .cavity import (
-    CavityConfig,
-    SteadyState,
-    cavity_spectrum_scan,
-    collective_coupling_squared,
-    cooperativity,
-    eigenfrequencies,
-    output_intensity,
-    output_intensity_closed_form,
-    rabi_peak_frequencies,
-    steady_state,
-)
-from .core import (
-    AtomSpecies,
-    LatticeConfig,
-    beta_to_spacings,
-    cavity_coupling,
-    freespace_coupling,
-    polarizability,
-    xi_parameter,
-)
-from .sweep import Cell, SweepSpec, Table, run_sweep
-from .transfer_matrix import (
-    ScatterMatrix,
-    Spectrum,
-    cell_dephasing,
-    dimer_matrix,
-    period_matrix,
-    plane_coefficients,
-    spectrum_scan,
-    stack_coefficients,
-    transmission_asymptotic,
-    transmission_closed_form,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomSpecies",
-    "BandStructure",
-    "BlochMatrix",
-    "CavityConfig",
-    "Cell",
-    "Gap",
-    "LatticeConfig",
-    "ScatterMatrix",
-    "Spectrum",
-    "SteadyState",
-    "SweepSpec",
-    "Table",
-    "analytic_band_edges",
-    "beta_to_spacings",
-    "build_bloch_matrix",
-    "cavity_coupling",
-    "cavity_spectrum_scan",
-    "cell_dephasing",
-    "collective_coupling_squared",
-    "compute_bands",
-    "cooperativity",
-    "dimer_matrix",
-    "eigenfrequencies",
-    "find_gaps",
-    "freespace_coupling",
-    "gap_widths_vs_rho",
-    "output_intensity",
-    "output_intensity_closed_form",
-    "period_matrix",
-    "plane_coefficients",
-    "polarizability",
-    "rabi_peak_frequencies",
-    "run_sweep",
-    "spectrum_scan",
-    "stack_coefficients",
-    "steady_state",
-    "transmission_asymptotic",
-    "transmission_closed_form",
-    "xi_parameter",
-]
+# each public name, under the module that defines it
+_EXPORTS = {
+    "bandstructure": (
+        "BandStructure", "BlochMatrix", "Gap", "analytic_band_edges",
+        "build_bloch_matrix", "compute_bands", "find_gaps", "gap_widths_vs_rho",
+    ),
+    "cavity": (
+        "CavityConfig", "SteadyState", "cavity_spectrum_scan",
+        "collective_coupling_squared", "cooperativity", "eigenfrequencies",
+        "output_intensity", "output_intensity_closed_form",
+        "rabi_peak_frequencies", "steady_state",
+    ),
+    "core": (
+        "AtomSpecies", "LatticeConfig", "beta_to_spacings", "cavity_coupling",
+        "freespace_coupling", "polarizability", "xi_parameter",
+    ),
+    "sweep": ("Cell", "SweepSpec", "Table", "run_sweep"),
+    "transfer_matrix": (
+        "ScatterMatrix", "Spectrum", "cell_dephasing", "dimer_matrix",
+        "period_matrix", "plane_coefficients", "spectrum_scan",
+        "stack_coefficients", "transmission_asymptotic", "transmission_closed_form",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, read from its module, which is imported on first use."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

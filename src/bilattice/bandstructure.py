@@ -29,9 +29,10 @@ conjugate of the one at q with modes m and -m swapped, so
 omega_n(-q) = omega_n(q).
 
 The rotating-wave coupling scales as 1/sqrt(omega_k) and is therefore cut
-off below ``min_coupled_mode_frequency`` (the G = 0 mode reaches omega = 0
-at q = 0, where the bare expression diverges); the retained far-detuned
-modes shift near-resonant eigenvalues by well under 1e-2 gamma.
+off for photon modes below 0.25 min(omega_1, omega_2) (the G = 0 mode
+reaches omega = 0 at q = 0, where the bare expression diverges); the
+retained far-detuned modes shift near-resonant eigenvalues by well under
+1e-2 gamma.
 
 Atomic absorption is deliberately absent here (real spectrum); it lives in
 the transfer-matrix engine.
@@ -46,11 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import C, EPS0, HBAR
+from .constants import C, DEFAULT_N_BZ, DEFAULT_N_Q, EPS0, HBAR
 from .core import LatticeConfig, freespace_coupling
-
-DEFAULT_N_BZ = 40
-DEFAULT_N_Q = 401
 
 
 @dataclass(frozen=True)
@@ -97,12 +95,7 @@ class Gap:
         return self.upper_edge - self.lower_edge
 
 
-def build_bloch_matrix(
-    q: float,
-    cfg: LatticeConfig,
-    n_bz: int = DEFAULT_N_BZ,
-    min_coupled_mode_frequency: float | None = None,
-) -> BlochMatrix:
+def build_bloch_matrix(q: float, cfg: LatticeConfig, n_bz: int = DEFAULT_N_BZ) -> BlochMatrix:
     """Assemble the Hermitian coupled-mode matrix at quasi-momentum q.
 
     q outside the first BZ is folded back (with a warning).  Couplings are
@@ -116,25 +109,18 @@ def build_bloch_matrix(
             f"quasi-momentum {q} outside first BZ, folded to {folded}", stacklevel=2
         )
         q = folded
-    if min_coupled_mode_frequency is None:
-        min_coupled_mode_frequency = _default_ir_cutoff(cfg)
-    h = _assemble_stack(cfg, np.array([q]), n_bz, min_coupled_mode_frequency)[0]
+    h = _assemble_stack(cfg, np.array([q]), n_bz)[0]
     ms = np.arange(-n_bz, n_bz + 1)
     return BlochMatrix(q, ms, h)
 
 
-def _default_ir_cutoff(cfg: LatticeConfig) -> float:
-    return 0.25 * min(
-        cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency
-    )
-
-
-def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: float):
+def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
     """Arrowhead data of the Bloch matrices on a q-grid.
 
     Returns the photon frequencies omega_k(q) and the two atom rows
     c1 = h[0, 2:] and c2 = h[1, 2:], each of shape (n_q, n_G); the atom
-    diagonal is (omega_1, omega_2) at every q.
+    diagonal is (omega_1, omega_2) at every q.  Modes below the infrared
+    cutoff 0.25 min(omega_1, omega_2) are decoupled (zero atom rows).
     """
     if n_bz < 1:
         raise ValueError("need at least one Brillouin zone")
@@ -147,7 +133,7 @@ def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: f
         1.0,
         2.0 * cfg.quantization_volume * EPS0 * HBAR * omega_k,
         out=np.zeros_like(omega_k),
-        where=omega_k >= min_coupled,
+        where=omega_k >= 0.25 * min(sp1.transition_frequency, sp2.transition_frequency),
     )
     np.sqrt(mode_root, out=mode_root)
     root_m = math.sqrt(cfg.cell_count)
@@ -157,9 +143,9 @@ def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: f
     return omega_k, amp1, amp2 * phase
 
 
-def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupled: float):
+def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
     """Stack of Bloch matrices for a q-grid (build_bloch_matrix is one q of it)."""
-    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, min_coupled)
+    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz)
     n_q, n_m = omega_k.shape
     n = n_m + 2
     h = np.zeros((n_q, n, n), dtype=complex)
@@ -174,8 +160,8 @@ def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, min_coupl
     return h
 
 
-def _eigenvalues_for(cfg, q_chunk, n_bz, min_coupled):
-    stack = _assemble_stack(cfg, q_chunk, n_bz, min_coupled)
+def _eigenvalues_for(cfg, q_chunk, n_bz):
+    stack = _assemble_stack(cfg, q_chunk, n_bz)
     try:
         return np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
@@ -207,7 +193,6 @@ def compute_bands(
     n_bz: int = DEFAULT_N_BZ,
     n_q: int = DEFAULT_N_Q,
     q_max: float | None = None,
-    min_coupled_mode_frequency: float | None = None,
 ) -> BandStructure:
     """Diagonalize the coupled-mode matrix on a uniform, symmetric q-grid.
 
@@ -221,10 +206,7 @@ def compute_bands(
         so dispersion plots typically use a much smaller window.
     """
     q_grid = _q_grid(cfg, n_q, q_max)
-    if min_coupled_mode_frequency is None:
-        min_coupled_mode_frequency = _default_ir_cutoff(cfg)
-    bands = _eigenvalues_for(cfg, q_grid, n_bz, min_coupled_mode_frequency)
-    return BandStructure(q_grid, bands, n_bz, cfg)
+    return BandStructure(q_grid, _eigenvalues_for(cfg, q_grid, n_bz), n_bz, cfg)
 
 
 def analytic_band_edges(cfg: LatticeConfig) -> tuple[float, float, float, float]:
@@ -447,7 +429,7 @@ def _window_bands(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int, lower: floa
     agree (the count at -q sums the same terms with modes m and -m swapped,
     and reads c2 only through |c1 c2*|^2).
     """
-    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, _default_ir_cutoff(cfg))
+    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz)
     weights = _coupling_weights(c1, c2)
     atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
     column = (len(q_grid), 1)

@@ -53,10 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cavity import CavityConfig
 from .constants import C, TWO_PI
 from .core import AtomSpecies, LatticeConfig
-from .sweep import SweepSpec, Table, run_sweep
+from .sweep import ENGINES, SweepSpec, Table, run_sweep
 from .tableio import write_table
 
 BUNDLED_CONFIGS = (
@@ -141,10 +140,12 @@ class _Entry:
             self.fail("expected a single value, got a list")
         return values[0]
 
-    def integer(self) -> int:
+    def integer(self, least: int | None = None) -> int:
         value = self.scalar(None, "count")
         if value != int(value):
             self.fail(f"expected an integer, got {self.value!r}")
+        if least is not None and value < least:
+            self.fail(f"must be >= {least}")
         return int(value)
 
     def boolean(self) -> bool:
@@ -185,7 +186,6 @@ class RunConfig:
 
     engine: str
     sweep: SweepSpec
-    source: dict
 
 
 def parse_config(text: str) -> RunConfig:
@@ -213,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
         return entry
 
     engine = require("engine").token()
-    if engine not in ("bands", "gaps", "transmit", "cavity"):
+    if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
     allowed = _ENGINE_KEYS["common"] | _ENGINE_KEYS[engine]
     unknown = [k for k in entries if k not in allowed]
@@ -282,10 +282,11 @@ def parse_config(text: str) -> RunConfig:
     if rho_values_entry is not None:
         rho_values = np.array(rho_values_entry.floats(length_units, "length"))
     elif range_entries[0] is not None:
+        rho_min, rho_max, rho_points = range_entries
         rho_values = np.linspace(
-            range_entries[0].scalar(length_units, "length"),
-            range_entries[1].scalar(length_units, "length"),
-            range_entries[2].integer(),
+            rho_min.scalar(length_units, "length"),
+            rho_max.scalar(length_units, "length"),
+            rho_points.integer(least=1),
         )
     if rho_entry is None and rho_values is None:
         raise ConfigError("missing required key 'rho' (or 'rho_values', or a rho range)")
@@ -326,11 +327,12 @@ def parse_config(text: str) -> RunConfig:
         spec_kwargs["probe_grid"] = anchor + np.linspace(pmin, pmax, npts)
 
     if engine == "cavity":
+        from .cavity import CavityConfig
         det_entry = take("cavity_detuning")
         cavity_det = det_entry.scalar({"gamma": gamma_ref}, "detuning") if det_entry else 0.0
         phase_entry, phases_entry = take("phase"), take("phase_values")
-        if phase_entry is None and phases_entry is None:
-            raise ConfigError("missing required key 'phase' (or 'phase_values')")
+        if (phase_entry is None) == (phases_entry is None):
+            raise ConfigError("give exactly one of 'phase' and 'phase_values'")
         phi_values = None
         if phases_entry is not None:
             phi_values = np.array(phases_entry.floats(_ANGLE_UNITS, "angle"))
@@ -338,6 +340,9 @@ def parse_config(text: str) -> RunConfig:
         finesse_entry = take("finesse")
         occupancy_entry = take("occupancy")
         pump_entry = take("pump")
+        pump = pump_entry.scalar(_RATE_UNITS, "rate") if pump_entry else 1.0
+        if pump <= 0:   # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
+            pump_entry.fail("must be positive")
         commensurate_entry = take("commensurate")
         try:
             cavity = CavityConfig(
@@ -346,7 +351,7 @@ def parse_config(text: str) -> RunConfig:
                 length=require("cavity_length").scalar(length_units, "length"),
                 waist=require("cavity_waist").scalar(length_units, "length"),
                 phase=phase,
-                pump=pump_entry.scalar(_RATE_UNITS, "rate") if pump_entry else 1.0,
+                pump=pump,
                 plane_count=2 * cell_count,
                 commensurate=commensurate_entry.boolean() if commensurate_entry else True,
                 occupancy=occupancy_entry.scalar(None, "count") if occupancy_entry else 1.0,
@@ -394,10 +399,7 @@ def parse_config(text: str) -> RunConfig:
         for key, least in (("n_bz", 1), ("n_q", 3)):
             entry = take(key)
             if entry is not None:
-                value = entry.integer()
-                if value < least:
-                    entry.fail(f"must be >= {least}")
-                spec_kwargs[key] = value
+                spec_kwargs[key] = entry.integer(least)
         if engine == "bands":
             entry = take("q_max")
             if entry is not None:
@@ -433,7 +435,7 @@ def parse_config(text: str) -> RunConfig:
         spec = SweepSpec(**spec_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(engine, spec, {k: e.value for k, e in entries.items()})
+    return RunConfig(engine, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ engine, one row per rho, makes one cell of the whole scan instead, with
 rho/a as its first column.  A failing cell or probe point contributes
 NaN-marked rows and an entry in the table's error list instead of
 aborting the sweep (unless fail_fast is set).
+
+Each engine's table function imports that engine's module when it runs, so
+a sweep loads only the engine it uses.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bandstructure, cavity as cavity_mod, transfer_matrix
-from .cavity import CavityConfig
+from .constants import DEFAULT_N_BZ, DEFAULT_N_Q
 from .core import LatticeConfig
 
-ENGINES = ("bands", "gaps", "transmit", "cavity")
 _GAP_SLOTS = 4   # indexed-gap columns emitted by the gaps engine
 
 NAN = float("nan")
@@ -109,12 +110,12 @@ class SweepSpec:
     lattice: LatticeConfig
     reference_frequency: float
     reference_linewidth: float
-    cavity: CavityConfig | None = None
+    cavity: object | None = None               # a cavity.CavityConfig, cavity engine
     probe_grid: np.ndarray | None = None       # rad/s, transmit + cavity engines
     rho_values: np.ndarray | None = None       # m; defaults to the lattice rho
     phi_values: np.ndarray | None = None       # rad; defaults to the cavity phase
-    n_bz: int = bandstructure.DEFAULT_N_BZ
-    n_q: int = bandstructure.DEFAULT_N_Q
+    n_bz: int = DEFAULT_N_BZ
+    n_q: int = DEFAULT_N_Q
     q_max: float | None = None
     window: tuple[float, float] | None = None  # rad/s, gaps engine
     cover_tol: float | None = None
@@ -184,6 +185,7 @@ def _gamma_units(spec: SweepSpec, omega: float) -> float:
 
 
 def _bands_table(spec: SweepSpec) -> Table:
+    from . import bandstructure
     cfg = spec.lattice
     g0 = cfg.reciprocal_vector
     n_modes = 2 * spec.n_bz + 3
@@ -209,6 +211,7 @@ def _bands_table(spec: SweepSpec) -> Table:
 
 
 def _gaps_table(spec: SweepSpec) -> Table:
+    from . import bandstructure
     cfg = spec.lattice
     columns = ["rho_over_a", "gap_count"]
     for i in range(1, _GAP_SLOTS + 1):
@@ -260,6 +263,7 @@ def _gaps_table(spec: SweepSpec) -> Table:
 
 
 def _transmit_table(spec: SweepSpec) -> Table:
+    from . import transfer_matrix
     cfg = spec.lattice
     a = cfg.cell_size
     rhos = spec.resolved_rhos()
@@ -296,6 +300,7 @@ def _transmit_table(spec: SweepSpec) -> Table:
 
 
 def _cavity_table(spec: SweepSpec) -> Table:
+    from . import cavity as cavity_mod
     cav = spec.cavity
     lat = spec.lattice
     a = lat.cell_size
@@ -352,10 +357,10 @@ def run_sweep(spec: SweepSpec) -> Table:
     failed cells yield NaN rows plus ``table.meta['errors']`` entries unless
     spec.fail_fast is set.
     """
-    if spec.engine == "bands":
-        return _bands_table(spec)
-    if spec.engine == "gaps":
-        return _gaps_table(spec)
-    if spec.engine == "transmit":
-        return _transmit_table(spec)
-    return _cavity_table(spec)
+    return _TABLES[spec.engine](spec)
+
+
+# the engines by name; each table function imports its engine's module
+_TABLES = {"bands": _bands_table, "gaps": _gaps_table,
+           "transmit": _transmit_table, "cavity": _cavity_table}
+ENGINES = tuple(_TABLES)

@@ -15,7 +15,6 @@ from bilattice.bandstructure import (
     _band_seeds,
     _count_below,
     _coupling_weights,
-    _default_ir_cutoff,
     _q_grid,
     _window_bands,
     analytic_band_edges,
@@ -237,7 +236,7 @@ def test_inertia_count_matches_eigvalsh(omega0, rho_frac, q_frac, detuning, spec
     evals = np.linalg.eigvalsh(build_bloch_matrix(q, cfg, n_bz=n_bz).matrix)
     # both counts are exact only up to rounding (~1e-6 gamma) at an eigenvalue
     assume(np.min(np.abs(evals - omega)) > 1e-4 * GAMMA)
-    omega_k, c1, c2 = _arrowhead(cfg, np.array([q]), n_bz, _default_ir_cutoff(cfg))
+    omega_k, c1, c2 = _arrowhead(cfg, np.array([q]), n_bz)
     atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
     count = _count_below(np.array([[omega]]), omega_k, _coupling_weights(c1, c2), atoms)
     assert count[0, 0] == np.count_nonzero(evals < omega)
@@ -259,7 +258,7 @@ def test_inertia_count_symmetric_under_q_reversal(omega0, rho_frac, q_frac, detu
     )
     q = q_frac * cfg.reciprocal_vector
     omega = cfg.bragg_frequency + detuning * GAMMA
-    omega_k, c1, c2 = _arrowhead(cfg, np.array([q, -q]), n_bz, _default_ir_cutoff(cfg))
+    omega_k, c1, c2 = _arrowhead(cfg, np.array([q, -q]), n_bz)
     atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
     count = _count_below(np.full((2, 1), omega), omega_k, _coupling_weights(c1, c2), atoms)
     assert count[0, 0] == count[1, 0]
@@ -285,7 +284,7 @@ def test_window_bands_symmetric_under_q_reversal(omega0, rho_frac, species, n_bz
 
 def bisect_window_bands(cfg, q_grid, n_bz, lower, upper):
     """Every window band value bisected from [lower, upper] on the count."""
-    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz, _default_ir_cutoff(cfg))
+    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz)
     weights = _coupling_weights(c1, c2)
     atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
     column = (len(q_grid), 1)

@@ -608,6 +608,16 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
             ),
             "line 7: key 'omega_odd'",
         ),
+        # a rho range needs at least one point
+        ("gaps", bundled_config_text("fig4").replace("rho_points = 51", "rho_points = 0"),
+         "line 11: key 'rho_points'"),
+        ("gaps", bundled_config_text("fig4").replace("rho_points = 51", "rho_points = -1"),
+         "line 11: key 'rho_points'"),
+        # the phase grid is given once, as rho is
+        ("cavity", bundled_config_text("fig9") + "phase_values = 0, 0.25 pi\n", "phase_values"),
+        # intensity_norm divides by the empty-cavity peak, which needs a pump
+        ("cavity", bundled_config_text("fig9") + "pump = 0 rad/s\n", "key 'pump'"),
+        ("cavity", bundled_config_text("fig9") + "pump = -2 rad/s\n", "key 'pump'"),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
