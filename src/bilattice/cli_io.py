@@ -15,8 +15,10 @@ physical quantity carries an explicit unit suffix:
 * quasi-momenta: ``G0`` (multiples of the reciprocal vector) or ``rad/m``.
 
 ``*_values`` keys accept comma-separated lists sharing one trailing unit.
-Every number must be finite.  Unknown keys are rejected; each engine has its
-own required-key set.  The reference chain: the named species fixes
+Every number must be finite.  A config holds only the keys its engine reads:
+an unknown key is rejected before any value is read, and a known key that
+the engine does not read is rejected after parsing.  Every rho lies in
+[0, a], and q_max in (0, G0/2].  The reference chain: the named species fixes
 (omega_atom, gamma); the lattice light sits at omega_0 = omega_atom +
 lattice_detuning x gamma; the cell size is a = 2 pi c / omega_0; both
 lattice species are placed relative to omega_0 via omega_even / omega_odd.
@@ -160,31 +162,23 @@ class _Entry:
         return self.value
 
 
-_ENGINE_KEYS = {
-    "common": {
-        "engine", "species", "wavelength", "linewidth", "lattice_detuning",
-        "omega_even", "omega_odd", "gamma_even", "gamma_odd", "rho",
-        "rho_values", "rho_min", "rho_max", "rho_points", "cells", "planes",
-    },
-    "bands": {"areal_density", "waist", "n_bz", "n_q", "q_max"},
-    "gaps": {
-        "areal_density", "waist", "n_bz", "n_q", "window_min", "window_max",
-        "cover_tol", "min_band_width",
-    },
-    "transmit": {"areal_density", "waist", "probe_min", "probe_max", "probe_points"},
-    "cavity": {
-        "probe_min", "probe_max", "probe_points", "cavity_length", "kappa",
-        "finesse", "cavity_waist", "occupancy", "pump", "phase",
-        "phase_values", "commensurate", "cavity_detuning",
-    },
-}
+# every key any engine reads; which of them a config may hold is decided by
+# what parse_config takes for its engine (the ``used`` marks)
+_KEYS = frozenset({
+    "engine", "species", "wavelength", "linewidth", "lattice_detuning",
+    "omega_even", "omega_odd", "gamma_even", "gamma_odd", "rho", "rho_values",
+    "rho_min", "rho_max", "rho_points", "cells", "planes", "areal_density",
+    "waist", "n_bz", "n_q", "q_max", "window_min", "window_max", "cover_tol",
+    "min_band_width", "probe_min", "probe_max", "probe_points", "cavity_length",
+    "kappa", "finesse", "cavity_waist", "occupancy", "pump", "phase",
+    "phase_values", "commensurate", "cavity_detuning",
+})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration: the engine plus a fully resolved sweep spec."""
+    """Validated configuration: a fully resolved sweep spec."""
 
-    engine: str
     sweep: SweepSpec
 
 
@@ -212,15 +206,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
         return entry
 
+    unknown = [k for k in entries if k not in _KEYS]
+    if unknown:   # a typo is reported before any value is read
+        raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}")
     engine = require("engine").token()
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
-    allowed = _ENGINE_KEYS["common"] | _ENGINE_KEYS[engine]
-    unknown = [k for k in entries if k not in allowed]
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) for engine {engine!r}: {', '.join(sorted(unknown))}"
-        )
 
     # --- species and reference frequencies ---
     species_name = require("species").token()
@@ -272,6 +263,16 @@ def parse_config(text: str) -> RunConfig:
     length_units["lambda"] = cell_size
 
     # --- geometry ---
+    def rhos(entry: _Entry, single: bool = False) -> list[float]:
+        """The entry's lengths, each of which must lie in the cell."""
+        if single:
+            values = [entry.scalar(length_units, "length")]
+        else:
+            values = entry.floats(length_units, "length")
+        if not all(0.0 <= v <= cell_size for v in values):
+            entry.fail("must satisfy 0 <= rho <= a")
+        return values
+
     rho_entry, rho_values_entry = take("rho"), take("rho_values")
     range_entries = tuple(take(k) for k in ("rho_min", "rho_max", "rho_points"))
     if any(range_entries) and not all(range_entries):
@@ -280,17 +281,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("give only one of rho, rho_values, rho_min/rho_max/rho_points")
     rho_values = None
     if rho_values_entry is not None:
-        rho_values = np.array(rho_values_entry.floats(length_units, "length"))
+        rho_values = np.array(rhos(rho_values_entry))
     elif range_entries[0] is not None:
         rho_min, rho_max, rho_points = range_entries
         rho_values = np.linspace(
-            rho_min.scalar(length_units, "length"),
-            rho_max.scalar(length_units, "length"),
+            *rhos(rho_min, single=True), *rhos(rho_max, single=True),
             rho_points.integer(least=1),
         )
     if rho_entry is None and rho_values is None:
         raise ConfigError("missing required key 'rho' (or 'rho_values', or a rho range)")
-    rho = rho_entry.scalar(length_units, "length") if rho_entry else float(rho_values[0])
+    rho = rhos(rho_entry, single=True)[0] if rho_entry else float(rho_values[0])
 
     cells_entry, planes_entry = take("cells"), take("planes")
     if cells_entry is not None and planes_entry is not None:
@@ -404,9 +404,10 @@ def parse_config(text: str) -> RunConfig:
             entry = take("q_max")
             if entry is not None:
                 g0 = lattice.reciprocal_vector
-                spec_kwargs["q_max"] = entry.scalar(
-                    {"G0": g0, "rad/m": 1.0}, "quasi-momentum"
-                )
+                q_max = entry.scalar({"G0": g0, "rad/m": 1.0}, "quasi-momentum")
+                if not 0 < q_max <= g0 / 2:
+                    entry.fail("must lie in (0, G0/2]")
+                spec_kwargs["q_max"] = q_max
         else:
             gamma_units = {"gamma": gamma_ref}
             wmin, wmax = take("window_min"), take("window_max")
@@ -429,13 +430,13 @@ def parse_config(text: str) -> RunConfig:
     unused = [e.key for e in entries.values() if not e.used]
     if unused:
         raise ConfigError(
-            f"key(s) not applicable to engine {engine!r}: {', '.join(sorted(unused))}"
+            f"unknown key(s) for this {engine!r} config: {', '.join(sorted(unused))}"
         )
     try:
         spec = SweepSpec(**spec_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(engine, spec)
+    return RunConfig(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +510,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(_load_config(args.config))
-        if args.command != "scan" and args.command != cfg.engine:
+        if args.command not in ("scan", cfg.sweep.engine):
             raise ConfigError(
                 f"subcommand {args.command!r} does not match config engine "
-                f"{cfg.engine!r}; use 'scan' to defer to the config"
+                f"{cfg.sweep.engine!r}; use 'scan' to defer to the config"
             )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

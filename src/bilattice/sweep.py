@@ -10,7 +10,7 @@ the q grid), passed as the same array object to every cell.  The gaps
 engine, one row per rho, makes one cell of the whole scan instead, with
 rho/a as its first column.  A failing cell or probe point contributes
 NaN-marked rows and an entry in the table's error list instead of
-aborting the sweep (unless fail_fast is set).
+aborting the sweep.
 
 Each engine's table function imports that engine's module when it runs, so
 a sweep loads only the engine it uses.
@@ -120,7 +120,6 @@ class SweepSpec:
     window: tuple[float, float] | None = None  # rad/s, gaps engine
     cover_tol: float | None = None
     min_band_width: float = 0.0
-    fail_fast: bool = False
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -154,30 +153,26 @@ class SweepSpec:
         return np.asarray(self.phi_values, dtype=float)
 
 
-def _map_cells(spec: SweepSpec, cells, worker):
-    """(worker(cell), None) or (None, error text) for each cell, in order."""
-    def guarded(cell):
+def _run_cells(table: Table, cells: list[dict], run, failed) -> list:
+    """run(coords) for each coordinate dict of ``cells``, in order.
+
+    Where run raises, the cell gets ``failed`` (the engine's NaN columns)
+    instead and the table an error entry: the coordinates plus
+    "<Type>: <message>".  The error list is touched only then, so a clean
+    run's meta has no "errors" key.
+    """
+    results = []
+    for coords in cells:
         try:
-            return worker(cell), None
+            results.append(run(coords))
         except Exception as exc:  # noqa: BLE001 - reported per cell
-            if spec.fail_fast:
-                raise
-            return None, f"{type(exc).__name__}: {exc}"
-
-    return [guarded(cell) for cell in cells]
+            table.errors.append({**coords, "error": f"{type(exc).__name__}: {exc}"})
+            results.append(failed)
+    return results
 
 
-def _rho_cells(spec: SweepSpec, table: Table, run) -> Table:
-    """Append the cell of run(rho), its columns after rho/a, for every rho;
-    a failed rho gets one NaN row."""
-    rhos = spec.resolved_rhos()
-    nan_row = ((NAN,),) * (len(table.columns) - 1)
-    for (columns, err), rho in zip(_map_cells(spec, rhos, run), rhos):
-        if err is not None:
-            table.errors.append({"rho": float(rho), "error": err})
-            columns = nan_row
-        table.cells.append(Cell((rho / spec.lattice.cell_size,), columns))
-    return table
+def _rho_grid(rhos: np.ndarray) -> list[dict]:
+    return [{"rho": float(rho)} for rho in rhos]
 
 
 def _gamma_units(spec: SweepSpec, omega: float) -> float:
@@ -196,9 +191,9 @@ def _bands_table(spec: SweepSpec) -> Table:
     table = Table(columns, meta={"engine": "bands", "rho_values": list(map(float, rhos))})
     q_axis = []   # the first cell's q_over_G0, the column every cell shares
 
-    def run(rho):
+    def run(coords):
         bs = bandstructure.compute_bands(
-            cfg.replace(intracell_distance=float(rho)),
+            cfg.replace(intracell_distance=coords["rho"]),
             n_bz=spec.n_bz,
             n_q=spec.n_q,
             q_max=spec.q_max,
@@ -207,7 +202,11 @@ def _bands_table(spec: SweepSpec) -> Table:
             q_axis.append(bs.q_grid / g0)
         return (q_axis[0], *_gamma_units(spec, bs.bands).T)
 
-    return _rho_cells(spec, table, run)
+    cells = _rho_grid(rhos)
+    failed = ((NAN,),) * (len(columns) - 1)   # one NaN row after rho/a
+    for coords, cell_columns in zip(cells, _run_cells(table, cells, run, failed)):
+        table.cells.append(Cell((coords["rho"] / cfg.cell_size,), cell_columns))
+    return table
 
 
 def _gaps_table(spec: SweepSpec) -> Table:
@@ -227,10 +226,10 @@ def _gaps_table(spec: SweepSpec) -> Table:
     rhos = spec.resolved_rhos()
     table = Table(columns, meta={"engine": "gaps", "rho_values": list(map(float, rhos))})
 
-    def run(rho):
+    def run(coords):
         entry = bandstructure.gap_widths_vs_rho(
             cfg,
-            [float(rho)],
+            [coords["rho"]],
             window=spec.window,
             n_bz=spec.n_bz,
             n_q=spec.n_q,
@@ -250,12 +249,7 @@ def _gaps_table(spec: SweepSpec) -> Table:
             row += [NAN] * 6
         return row
 
-    rows = []
-    for (row, err), rho in zip(_map_cells(spec, rhos, run), rhos):
-        if err is not None:
-            table.errors.append({"rho": float(rho), "error": err})
-            row = [NAN] * (len(columns) - 1)
-        rows.append(row)
+    rows = _run_cells(table, _rho_grid(rhos), run, [NAN] * (len(columns) - 1))
     # one cell for the whole scan, so that each column is rendered and laid
     # out once, not once per rho
     table.cells.append(Cell((), (rhos / cfg.cell_size, *np.array(rows).T)))
@@ -275,27 +269,20 @@ def _transmit_table(spec: SweepSpec) -> Table:
     # the omega_p and detuning axes of spectrum_scan, shared by every cell
     detuning = (grid - cfg.species_even.transition_frequency) / cfg.species_even.linewidth
 
-    def run(rho):
-        local = cfg.replace(intracell_distance=float(rho))
-        result = transfer_matrix.spectrum_scan(local, grid)
-        if result.errors and spec.fail_fast:
-            raise ValueError(next(iter(result.errors.values())))
-        return result
-
-    for (result, err), rho in zip(_map_cells(spec, rhos, run), rhos):
-        prefix = () if single else (rho / a,)
-        if err is not None:
-            table.errors.append({"rho": float(rho), "error": err})
-            nan = np.full(grid.shape, NAN)
-            table.cells.append(Cell(prefix, (grid, detuning, nan, nan, nan)))
-            continue
-        for i, msg in result.errors.items():
+    def run(coords):
+        result = transfer_matrix.spectrum_scan(cfg.replace(intracell_distance=coords["rho"]), grid)
+        for i, msg in result.errors.items():   # failed probe points, NaN in place
             table.errors.append(
-                {"rho": float(rho), "omega_p": float(grid[i]), "error": f"ValueError: {msg}"}
+                {**coords, "omega_p": float(grid[i]), "error": f"ValueError: {msg}"}
             )
-        table.cells.append(
-            Cell(prefix, (grid, detuning, result.transmitted, result.reflected, result.absorbed))
-        )
+        return (grid, detuning, result.transmitted, result.reflected, result.absorbed)
+
+    nan = np.full(grid.shape, NAN)
+    cells = _rho_grid(rhos)
+    failed = (grid, detuning, nan, nan, nan)
+    for coords, cell_columns in zip(cells, _run_cells(table, cells, run, failed)):
+        prefix = () if single else (coords["rho"] / a,)
+        table.cells.append(Cell(prefix, cell_columns))
     return table
 
 
@@ -323,29 +310,26 @@ def _cavity_table(spec: SweepSpec) -> Table:
     )
     grid = np.asarray(spec.probe_grid, dtype=float)
     detuning = _gamma_units(spec, grid)
-    cells = [(rho, phi) for rho in rhos for phi in phis]
+    cells = [{"rho": float(rho), "phi": float(phi)} for rho in rhos for phi in phis]
 
-    def run(cell):
-        rho, phi = cell
-        return cavity_mod.cavity_spectrum_scan(
+    def run(coords):
+        rho, phi = coords["rho"], coords["phi"]
+        result = cavity_mod.cavity_spectrum_scan(
             cav, lat.species_even, lat.species_odd, grid, [rho], [phi]
         )[0]
+        table.meta["peaks"].append(
+            {
+                "rho_over_a": rho / a,
+                "phi_rad": phi,
+                "peaks_rad_s": result.peaks,
+                "predicted_rad_s": list(result.predicted_peaks),
+            }
+        )
+        return result.intensities
 
-    for (result, err), (rho, phi) in zip(_map_cells(spec, cells, run), cells):
-        if err is not None:
-            table.errors.append({"rho": float(rho), "phi": float(phi), "error": err})
-            intensity = np.full(grid.shape, NAN)
-        else:
-            intensity = result.intensities
-            table.meta["peaks"].append(
-                {
-                    "rho_over_a": rho / a,
-                    "phi_rad": float(phi),
-                    "peaks_rad_s": result.peaks,
-                    "predicted_rad_s": list(result.predicted_peaks),
-                }
-            )
-        prefix = () if single else (rho / a, phi)
+    failed = np.full(grid.shape, NAN)
+    for coords, intensity in zip(cells, _run_cells(table, cells, run, failed)):
+        prefix = () if single else (coords["rho"] / a, coords["phi"])
         table.cells.append(Cell(prefix, (grid, detuning, intensity, intensity / peak_norm)))
     return table
 
@@ -354,8 +338,7 @@ def run_sweep(spec: SweepSpec) -> Table:
     """Run the sweep described by ``spec`` and return its table.
 
     Cells, and so rows, come in the lexicographic grid order of the spec;
-    failed cells yield NaN rows plus ``table.meta['errors']`` entries unless
-    spec.fail_fast is set.
+    failed cells yield NaN rows plus ``table.meta['errors']`` entries.
     """
     return _TABLES[spec.engine](spec)
 

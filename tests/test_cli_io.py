@@ -49,7 +49,7 @@ probe_points = 11
 
 def test_minimal_monoperiodic_config_valid():
     cfg = parse_config(MINIMAL_TRANSMIT)
-    assert cfg.engine == "transmit"
+    assert cfg.sweep.engine == "transmit"
     lat = cfg.sweep.lattice
     assert lat.intracell_distance == 0.0
     assert lat.cell_count == 500
@@ -126,13 +126,13 @@ def test_rate_units_carry_two_pi():
 def test_every_bundled_config_parses():
     for name in BUNDLED_CONFIGS:
         cfg = parse_config(bundled_config_text(name))
-        assert cfg.engine in ("bands", "gaps", "transmit", "cavity")
+        assert cfg.sweep.engine in ("bands", "gaps", "transmit", "cavity")
 
 
 def test_bundled_fig6_reproduces_published_setup():
     cfg = parse_config(bundled_config_text("fig6"))
     lat = cfg.sweep.lattice
-    assert cfg.engine == "transmit"
+    assert cfg.sweep.engine == "transmit"
     assert lat.cell_count == 500_000
     assert lat.intracell_distance == 0.0
     assert lat.areal_density == pytest.approx(5.7e10)
@@ -572,6 +572,16 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     out = tmp_path / "out.csv"
     for command, text, named in (
         ("transmit", MINIMAL_TRANSMIT + "mystery = 1\n", "unknown key"),
+        # a typo is reported before any value is read, even a bad one
+        ("transmit", MINIMAL_TRANSMIT.replace("probe_points", "probe_pts"),
+         "unknown key(s): probe_pts"),
+        ("transmit", MINIMAL_TRANSMIT.replace("probe_points", "probe_pts")
+         .replace("rho = 0 a", "rho = 3 parsec"), "unknown key(s): probe_pts"),
+        # a known key that this engine, or this species, does not read
+        ("gaps", bundled_config_text("fig4") + "q_max = 2.5e-5 G0\n",
+         "unknown key(s) for this 'gaps' config: q_max"),
+        ("cavity", bundled_config_text("fig9") + "n_q = 11\n", "'cavity' config: n_q"),
+        ("transmit", MINIMAL_TRANSMIT + "wavelength = 780 nm\n", "config: wavelength"),
         # no longer a key: it was metadata that no formula read
         (
             "cavity",
@@ -618,6 +628,25 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         # intensity_norm divides by the empty-cavity peak, which needs a pump
         ("cavity", bundled_config_text("fig9") + "pump = 0 rad/s\n", "key 'pump'"),
         ("cavity", bundled_config_text("fig9") + "pump = -2 rad/s\n", "key 'pump'"),
+        # every rho lies in the cell and q_max in the half zone; these ran
+        # as all-NaN tables with one error entry per rho and exited 0
+        ("bands", bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = 2 G0"),
+         "line 12: key 'q_max': must lie in (0, G0/2]"),
+        ("bands", bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = 0 G0"),
+         "line 12: key 'q_max'"),
+        ("bands", bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = -1 rad/m"),
+         "line 12: key 'q_max'"),
+        ("gaps", bundled_config_text("fig4").replace("rho_max = 1 a", "rho_max = -1 a"),
+         "line 10: key 'rho_max': must satisfy 0 <= rho <= a"),
+        ("gaps", bundled_config_text("fig4").replace("rho_min = 0 a", "rho_min = -0.1 a"),
+         "line 9: key 'rho_min'"),
+        ("gaps", bundled_config_text("fig4").replace("rho_max = 1 a", "rho_max = 1.01 a"),
+         "line 10: key 'rho_max'"),
+        ("bands", bundled_config_text("fig2a").replace("0, 0.2, 0.4 a", "0, 1.5, 0.4 a"),
+         "line 9: key 'rho_values'"),
+        ("cavity", bundled_config_text("fig9").replace("0, 0.2, 0.4 a", "0, 0.2, -0.4 a"),
+         "line 8: key 'rho_values'"),
+        ("transmit", MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 1.5 a"), "line 6: key 'rho'"),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bilattice import cavity as cavity_mod, transfer_matrix
+from bilattice import bandstructure, cavity as cavity_mod, transfer_matrix
 from bilattice.cli_io import bundled_config_text, parse_config
 from bilattice.sweep import SweepSpec, run_sweep
+from bilattice.tableio import write_table
 
 from conftest import GAMMA, make_cavity, make_lattice
 
@@ -79,12 +81,6 @@ def test_failed_cells_marked_nan_and_logged(omega0):
     assert not math.isnan(good[2])
 
 
-def test_fail_fast_raises(omega0):
-    spec = transmit_spec(omega0, probe=np.array([-5.0]), fail_fast=True)
-    with pytest.raises(ValueError, match="positive"):
-        run_sweep(spec)
-
-
 def test_failed_point_lands_at_its_rho_and_frequency(omega0):
     lat = make_lattice(omega0, cells=100)
     a = lat.cell_size
@@ -101,8 +97,6 @@ def test_failed_point_lands_at_its_rho_and_frequency(omega0):
             assert all(math.isnan(v) == (j == 2) for v in row[3:])
     assert [(e["rho"], e["omega_p"]) for e in table.errors] == [(rho, 0.0) for rho in rhos]
     assert all("positive" in e["error"] for e in table.errors)
-    with pytest.raises(ValueError, match="positive"):
-        run_sweep(transmit_spec(omega0, rhos=rhos, probe=probe, fail_fast=True))
 
 
 def test_failed_transmit_cell_keeps_its_detuning_column(omega0, monkeypatch):
@@ -197,8 +191,8 @@ def test_gaps_engine_numeric_matches_analytic_columns(omega0):
             assert num == pytest.approx(ana, abs=0.5)   # cover_tol-limited edges
 
 
-def test_failed_gap_rho_keeps_its_nan_row_in_place():
-    # the gap scan is one cell; a rho outside [0, a] fails alone, as a NaN
+def test_failed_gap_rho_keeps_its_nan_row_in_place(monkeypatch):
+    # the gap scan is one cell; a rho whose scan fails stays alone, as a NaN
     # row where it stands and one error entry
     def scan(rho_values):
         text = bundled_config_text("fig4").replace(
@@ -206,13 +200,61 @@ def test_failed_gap_rho_keeps_its_nan_row_in_place():
         )
         return run_sweep(parse_config(text).sweep)
 
-    table, clean = scan("0.2, 1.5, 0.4"), scan("0.2, 0.4")
+    clean = scan("0.2, 0.4")
+    original = bandstructure.gap_widths_vs_rho
+
+    def failing_at_middle_rho(cfg, rho_values, **kw):
+        if rho_values[0] == pytest.approx(0.3 * cfg.cell_size):
+            raise RuntimeError("injected")
+        return original(cfg, rho_values, **kw)
+
+    monkeypatch.setattr(bandstructure, "gap_widths_vs_rho", failing_at_middle_rho)
+    table = scan("0.2, 0.3, 0.4")
     assert len(table.cells) == 1
     rows, clean_rows = np.array(table.rows), np.array(clean.rows)
     assert np.array_equal(rows[[0, 2]], clean_rows, equal_nan=True)
-    assert rows[1, 0] == pytest.approx(1.5) and np.isnan(rows[1, 1:]).all()
-    assert len(table.errors) == 1 and not clean.errors
-    assert "outside [0, a]" in table.errors[0]["error"]
+    assert rows[1, 0] == pytest.approx(0.3) and np.isnan(rows[1, 1:]).all()
+    assert not clean.errors
+    assert table.errors == [
+        {"rho": table.meta["rho_values"][1], "error": "RuntimeError: injected"}
+    ]
+
+
+def test_failed_bands_rho_keeps_its_nan_row_in_place(monkeypatch):
+    # a bands cell is one rho; a failed rho becomes one NaN row after its
+    # rho/a, between the cells of the other two
+    text = bundled_config_text("fig2a").replace("n_q = 401", "n_q = 5")
+    clean = run_sweep(parse_config(text).sweep)
+    original = bandstructure.compute_bands
+
+    def failing_at_middle_rho(cfg, **kw):
+        if cfg.intracell_distance == pytest.approx(0.2 * cfg.cell_size):
+            raise ValueError("injected")
+        return original(cfg, **kw)
+
+    monkeypatch.setattr(bandstructure, "compute_bands", failing_at_middle_rho)
+    table = run_sweep(parse_config(text).sweep)
+    assert len(table.cells) == 3
+    rows, clean_rows = np.array(table.rows), np.array(clean.rows)
+    assert len(rows) == 5 + 1 + 5
+    assert np.array_equal(rows[:5], clean_rows[:5])
+    assert np.array_equal(rows[6:], clean_rows[10:])
+    assert rows[5, 0] == pytest.approx(0.2) and np.isnan(rows[5, 1:]).all()
+    assert not clean.errors
+    assert table.errors == [{"rho": table.meta["rho_values"][1], "error": "ValueError: injected"}]
+
+
+def test_clean_run_meta_has_no_errors_key(tmp_path):
+    # the error list is created only when a cell or a probe point fails
+    text = bundled_config_text("fig9").replace("probe_points = 4801", "probe_points = 41")
+    table = run_sweep(parse_config(text).sweep)
+    assert list(table.meta) == [
+        "engine", "rho_values", "phi_values", "commensurate_order", "peaks"
+    ]
+    out = tmp_path / "fig9.json"
+    write_table(table, out, "json")
+    assert "errors" not in json.loads(out.read_text())["meta"]
+    assert not (tmp_path / "fig9.json.errors.log").exists()
 
 
 def test_cavity_engine_table_and_peak_meta(omega0):
