@@ -18,7 +18,9 @@ physical quantity carries an explicit unit suffix:
 Every number must be finite.  A config holds only the keys its engine reads:
 an unknown key is rejected before any value is read, and a known key that
 the engine does not read is rejected after parsing.  Every rho lies in
-[0, a], and q_max in (0, G0/2].  The reference chain: the named species fixes
+[0, a], and q_max in (0, G0/2]; rates, lengths, densities, occupancy and
+finesse are positive.  An error names its key and line where one key is at
+fault.  The reference chain: the named species fixes
 (omega_atom, gamma); the lattice light sits at omega_0 = omega_atom +
 lattice_detuning x gamma; the cell size is a = 2 pi c / omega_0; both
 lattice species are placed relative to omega_0 via omega_even / omega_odd.
@@ -45,6 +47,7 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -142,6 +145,20 @@ class _Entry:
             self.fail("expected a single value, got a list")
         return values[0]
 
+    def positive(self, unit_map, kind) -> float:
+        value = self.scalar(unit_map, kind)
+        if value <= 0:
+            self.fail("must be positive")
+        return value
+
+    @contextlib.contextmanager
+    def blamed(self):
+        """Report a ValueError or ArithmeticError of the block as this key's."""
+        try:
+            yield
+        except (ValueError, ArithmeticError) as exc:
+            self.fail(f"{type(exc).__name__}: {exc}")
+
     def integer(self, least: int | None = None) -> int:
         value = self.scalar(None, "count")
         if value != int(value):
@@ -185,9 +202,17 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate key-value config text into a RunConfig.
 
-    Errors carry the offending line number (parse), key (units), or the
-    violated invariant (ranges).
+    Errors carry the offending line number and key where one key is at
+    fault, else the violated invariant.  A ValueError or ArithmeticError
+    that no key's check caught is a ConfigError as well.
     """
+    try:
+        return _parse(text)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from None
+
+
+def _parse(text: str) -> RunConfig:
     entries: dict[str, _Entry] = {}
     for lineno, key, value in _tokenize(text):
         if key in entries:
@@ -214,30 +239,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown engine {engine!r}")
 
     # --- species and reference frequencies ---
-    species_name = require("species").token()
-
-    def species(make, frequency_entry: _Entry, gamma_entry: _Entry | None, gamma: float):
-        """make(), its ValueError naming the linewidth's key where the
-        linewidth is not positive, else the key that sets the frequency."""
-        try:
-            return make()
-        except ZeroDivisionError:
-            frequency_entry.fail("puts the transition at zero frequency or wavelength")
-        except ValueError as exc:
-            culprit = gamma_entry if gamma_entry is not None and gamma <= 0 else frequency_entry
-            culprit.fail(str(exc))
-
-    if species_name == "custom":
-        wavelength_entry, linewidth_entry = require("wavelength"), require("linewidth")
-        wavelength = wavelength_entry.scalar(_LENGTH_UNITS, "length")
-        gamma = linewidth_entry.scalar(_RATE_UNITS, "rate")
-        base = species(lambda: AtomSpecies.from_wavelength(wavelength, gamma),
-                       wavelength_entry, linewidth_entry, gamma)
+    species_entry = require("species")
+    if species_entry.token() == "custom":
+        wavelength_entry = require("wavelength")
+        wavelength = wavelength_entry.positive(_LENGTH_UNITS, "length")
+        gamma = require("linewidth").positive(_RATE_UNITS, "rate")
+        with wavelength_entry.blamed():
+            base = AtomSpecies.from_wavelength(wavelength, gamma)
     else:
         try:
-            base = AtomSpecies.named(species_name)
+            base = AtomSpecies.named(species_entry.token())
         except KeyError as exc:
-            raise ConfigError(str(exc)) from None
+            species_entry.fail(exc.args[0])
     gamma_ref = base.linewidth
     lattice_entry = require("lattice_detuning")
     omega0 = base.transition_frequency + lattice_entry.scalar({"gamma": gamma_ref}, "detuning")
@@ -251,10 +264,9 @@ def parse_config(text: str) -> RunConfig:
         offset_entry = require(offset_key)
         omega = omega0 + offset_entry.scalar({"gamma": gamma_ref}, "detuning")
         entry = take(gamma_key)
-        gamma_j = entry.scalar(_RATE_UNITS, "rate") if entry else gamma_ref
-        return species(
-            lambda: AtomSpecies.from_frequency(omega, gamma_j), offset_entry, entry, gamma_j
-        )
+        gamma_j = entry.positive(_RATE_UNITS, "rate") if entry else gamma_ref
+        with offset_entry.blamed():
+            return AtomSpecies.from_frequency(omega, gamma_j)
 
     species_even = species_at("omega_even", "gamma_even")
     species_odd = species_at("omega_odd", "gamma_odd")
@@ -296,11 +308,11 @@ def parse_config(text: str) -> RunConfig:
     if cells_entry is not None and planes_entry is not None:
         raise ConfigError("give exactly one of 'cells' and 'planes'")
     if cells_entry is not None:
-        cell_count = cells_entry.integer()
+        cell_count = cells_entry.integer(least=1)
     elif planes_entry is not None:
-        planes = planes_entry.integer()
+        planes = planes_entry.integer(least=2)
         if planes % 2:
-            raise ConfigError("'planes' must be even (two planes per cell)")
+            planes_entry.fail("must be even (two planes per cell)")
         cell_count = planes // 2
     elif engine in ("bands", "gaps"):
         cell_count = 100   # spectra are M-independent; any positive M works
@@ -317,10 +329,11 @@ def parse_config(text: str) -> RunConfig:
     if engine in ("transmit", "cavity"):
         gamma_units = {"gamma": gamma_ref}
         pmin = require("probe_min").scalar(gamma_units, "detuning")
-        pmax = require("probe_max").scalar(gamma_units, "detuning")
-        npts = require("probe_points").integer()
-        if npts < 2 or pmax <= pmin:
-            raise ConfigError("probe grid needs probe_min < probe_max and >= 2 points")
+        pmax_entry = require("probe_max")
+        pmax = pmax_entry.scalar(gamma_units, "detuning")
+        if pmax <= pmin:
+            pmax_entry.fail("must exceed probe_min")
+        npts = require("probe_points").integer(least=2)
         # transmit detunes against the even-species transition (paper-figure
         # axis); the cavity engine against the lattice reference omega_0
         anchor = species_even.transition_frequency if engine == "transmit" else omega0
@@ -340,49 +353,46 @@ def parse_config(text: str) -> RunConfig:
         finesse_entry = take("finesse")
         occupancy_entry = take("occupancy")
         pump_entry = take("pump")
-        pump = pump_entry.scalar(_RATE_UNITS, "rate") if pump_entry else 1.0
-        if pump <= 0:   # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
-            pump_entry.fail("must be positive")
         commensurate_entry = take("commensurate")
-        try:
-            cavity = CavityConfig(
-                mode_frequency=omega0 + cavity_det,
-                linewidth=require("kappa").scalar(_RATE_UNITS, "rate"),
-                length=require("cavity_length").scalar(length_units, "length"),
-                waist=require("cavity_waist").scalar(length_units, "length"),
-                phase=phase,
-                pump=pump,
-                plane_count=2 * cell_count,
-                commensurate=commensurate_entry.boolean() if commensurate_entry else True,
-                occupancy=occupancy_entry.scalar(None, "count") if occupancy_entry else 1.0,
-                finesse=finesse_entry.scalar(None, "count") if finesse_entry else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        density_entry = require("cavity_waist")
+        cavity = CavityConfig(
+            mode_frequency=omega0 + cavity_det,
+            linewidth=require("kappa").positive(_RATE_UNITS, "rate"),
+            length=require("cavity_length").positive(length_units, "length"),
+            waist=density_entry.positive(length_units, "length"),
+            phase=phase,
+            # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
+            pump=pump_entry.positive(_RATE_UNITS, "rate") if pump_entry else 1.0,
+            plane_count=2 * cell_count,
+            commensurate=commensurate_entry.boolean() if commensurate_entry else True,
+            occupancy=occupancy_entry.positive(None, "count") if occupancy_entry else 1.0,
+            finesse=finesse_entry.positive(None, "count") if finesse_entry else None,
+        )
         spec_kwargs["cavity"] = cavity
         spec_kwargs["phi_values"] = phi_values
 
     # --- the one lattice density n_s [m^-2] ---
     if engine == "cavity":
-        # the density the cavity coupling implies: n-bar atoms per site over
-        # the mode area pi w_c^2 / 4
-        areal_density = cavity.occupancy / (math.pi * cavity.waist**2 / 4.0)
+        with density_entry.blamed():
+            # the density the cavity coupling implies: n-bar atoms per site
+            # over the mode area pi w_c^2 / 4
+            areal_density = cavity.occupancy / (math.pi * cavity.waist**2 / 4.0)
     else:
         areal_entry, waist_entry = take("areal_density"), take("waist")
         if (areal_entry is None) == (waist_entry is None):
             raise ConfigError(
                 f"give exactly one of 'areal_density' and 'waist' for engine {engine!r}"
             )
+        density_entry = areal_entry or waist_entry
         if areal_entry is not None:
-            areal_density = areal_entry.scalar(_AREAL_UNITS, "areal density")
+            areal_density = areal_entry.positive(_AREAL_UNITS, "areal density")
         else:
-            # one atom per site over the mode area pi w^2 / 4
-            waist = waist_entry.scalar(length_units, "length")
-            if waist <= 0:
-                waist_entry.fail("must be positive")
-            areal_density = 4.0 / (math.pi * waist**2)
+            waist = waist_entry.positive(length_units, "length")
+            with waist_entry.blamed():
+                # one atom per site over the mode area pi w^2 / 4
+                areal_density = 4.0 / (math.pi * waist**2)
 
-    try:
+    with density_entry.blamed():   # a waist far below 1 nm gives n_s = inf
         lattice = LatticeConfig(
             cell_size=cell_size,
             intracell_distance=rho,
@@ -391,8 +401,6 @@ def parse_config(text: str) -> RunConfig:
             species_even=species_even,
             species_odd=species_odd,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     spec_kwargs["lattice"] = lattice
 
     if engine in ("bands", "gaps"):
@@ -432,11 +440,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"unknown key(s) for this {engine!r} config: {', '.join(sorted(unused))}"
         )
-    try:
-        spec = SweepSpec(**spec_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(spec)
+    return RunConfig(SweepSpec(**spec_kwargs))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,20 @@
 
 A table's values are floats, held as cells (see ``sweep.Table``): a
 constant prefix per grid cell plus column arrays, some of them shared by
-every cell.  ``write_table`` renders each prefix and each distinct column
-object once per table, up to 4096 values per numpy pass, into a slot-major
-byte matrix: one row per character slot, one column per value, 0 where a
-token leaves a slot empty (``_token_slots``).  A value's 12 significant
-digits come from exact integer arithmetic on the scaled value; the values
-within 1e-3 of a rounding tie or next to a decade edge, zeros, non-finite
-values and |x| outside [1e-33, 1e55) are formatted one by one with
-``"%.12g" % v``.  The rows are
-then laid out from those bytes a block of rows at a time: each column's
-slot rows, with constant rows for the separators, transposed to row-major,
-the 0 padding dropped (``_row_blocks``).  The bytes are written as they are
-laid out, and they are those of per-value ``f"{v:.12g}"`` (CSV) and of
-``json.dumps(indent=1)`` over the rounded floats with NaN as null (JSON).
+every cell.  ``write_table`` joins each prefix and each distinct column
+object into one value vector per table and renders it, up to 4096 values
+per numpy pass, into a slot-major byte matrix: one row per character slot,
+one column per value, 0 where a token leaves a slot empty
+(``_token_slots``).  A value's 12 significant digits come from exact
+integer arithmetic on the scaled value; the values within 1e-3 of a
+rounding tie or next to a decade edge, zeros, non-finite values and |x|
+outside [1e-33, 1e55) are formatted one by one with ``"%.12g" % v``.  The
+rows are then laid out from those bytes a block of rows at a time: each
+column's slot rows, with constant rows for the separators, transposed to
+row-major, the 0 padding dropped (``_row_blocks``).  The bytes are written
+as they are laid out, and they are those of per-value ``f"{v:.12g}"``
+(CSV) and of ``json.dumps(indent=1)`` over the rounded floats with NaN as
+null (JSON).
 """
 
 from __future__ import annotations
@@ -204,48 +205,21 @@ def _token_slots(values, json_tokens: bool) -> np.ndarray:
 def _rendered(parts, json_tokens: bool) -> list[np.ndarray]:
     """Each part's tokens as its own slot matrix.
 
-    The parts, float arrays, are rendered together, ``_CHUNK`` values per
-    call of ``_token_slots``, so that a table of many short columns costs
-    few calls.  A chunk's all-zero slot rows are dropped, and a part is a
-    view of its chunk, or the join of its pieces where it spans chunks.
+    The parts, float arrays, are joined into one vector, which is rendered
+    ``_CHUNK`` values per call of ``_token_slots`` (so that a table of many
+    short columns costs few calls) into one slot matrix.  A part is its
+    column slice of that matrix without the slice's all-zero slot rows.
     """
-    pieces = [[] for _ in parts]
-
-    def render(spans):
-        values = np.concatenate([parts[i][lo:hi] for i, lo, hi in spans])
-        slots = _token_slots(values, json_tokens)
-        slots = slots[slots.any(axis=1)]
-        start = 0
-        for i, lo, hi in spans:
-            pieces[i].append(slots[:, start:start + hi - lo])
-            start += hi - lo
-
-    spans, filled = [], 0
-    for i, part in enumerate(parts):
-        lo = 0
-        while lo < len(part):
-            hi = min(len(part), lo + _CHUNK - filled)
-            spans.append((i, lo, hi))
-            filled += hi - lo
-            lo = hi
-            if filled == _CHUNK:
-                render(spans)
-                spans, filled = [], 0
-    if spans:
-        render(spans)
-
-    def joined(mats):
-        if len(mats) < 2:   # a part without values has no piece
-            return mats[0] if mats else np.zeros((0, 0), np.uint8)
-        # padding after a token's slots leaves its bytes in order
-        out = np.zeros((max(map(len, mats)), sum(mat.shape[1] for mat in mats)), np.uint8)
-        start = 0
-        for mat in mats:
-            out[:len(mat), start:start + mat.shape[1]] = mat
-            start += mat.shape[1]
-        return out
-
-    return [joined(mats) for mats in pieces]
+    values = np.concatenate(parts) if parts else np.empty(0)
+    slots = np.empty((_glyphs(json_tokens).width, len(values)), np.uint8)
+    for lo in range(0, len(values), _CHUNK):
+        slots[:, lo:lo + _CHUNK] = _token_slots(values[lo:lo + _CHUNK], json_tokens)
+    mats, start = [], 0
+    for part in parts:
+        mat = slots[:, start:start + len(part)]
+        mats.append(mat[mat.any(axis=1)])
+        start += len(part)
+    return mats
 
 
 def _token_bytes(mat: np.ndarray, i: int) -> bytes:
@@ -286,26 +260,18 @@ def _row_blocks(table: Table, fmt: str):
                 f"a cell of {len(prefix)} prefix values and columns of lengths "
                 f"{[len(c) for c in columns]} in a table of {len(table.columns)} columns"
             )
-    # what to render: each distinct prefix and column object once, at
-    # spans[id] = (part, start, stop) of the rendered parts; the sequences
-    # that are not arrays (the prefixes, columns of Python floats) are
-    # joined into part 0, so that many short ones cost one conversion
-    loose, arrays, spans = [], [], {}
+    # what to render: each distinct prefix and column object once, as
+    # parts[index[id]]
+    parts, index = [], {}
     for cell in cells:
         for values in (cell.prefix, *cell.columns):
-            if id(values) in spans:
-                continue
-            if isinstance(values, np.ndarray):
-                arrays.append(values)
-                spans[id(values)] = len(arrays), 0, len(values)
-            else:
-                loose.extend(values)
-                spans[id(values)] = 0, len(loose) - len(values), len(loose)
-    mats = _rendered([np.array(loose, dtype=float), *arrays], fmt == "json")
+            if id(values) not in index:
+                index[id(values)] = len(parts)
+                parts.append(np.asarray(values, dtype=float))
+    mats = _rendered(parts, fmt == "json")
 
     def slots(values) -> np.ndarray:
-        part, start, stop = spans[id(values)]
-        return mats[part][:, start:stop]
+        return mats[index[id(values)]]
 
     layout = _LAYOUTS[fmt]
 
@@ -366,10 +332,10 @@ def write_table(table: Table, destination, fmt: str = "csv") -> None:
     """Serialize a sweep table as CSV or JSON (12 significant digits).
 
     Values are floats (see ``Table``).  Every prefix and each distinct
-    column object is rendered once per table, a few thousand values per
-    numpy pass (see ``_token_slots``), and the rows are laid out from the
-    rendered bytes a block of rows at a time (see ``_row_blocks``) and
-    written as they are laid out.  The bytes are those of formatting every
+    column object is rendered once per table, as one value vector (see
+    ``_rendered``), and the rows are laid out from the rendered bytes a
+    block of rows at a time (see ``_row_blocks``) and written as they are
+    laid out.  The bytes are those of formatting every
     value of every row as ``f"{v:.12g}"`` (CSV) or of
     ``json.dumps(indent=1)`` over ``float(f"{v:.12g}")`` with NaN as null
     (JSON).  A misshapen table raises ``ValueError`` before anything is

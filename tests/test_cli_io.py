@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -318,11 +319,34 @@ def zero_row_cell_table() -> Table:
     return Table(["p", "x", "y"], meta={"engine": "test"}, cells=cells)
 
 
+def chunk_edge_tables() -> list[Table]:
+    # the writer renders the distinct parts as one vector, 4096 values per
+    # call; here parts end one before, on and one after a chunk edge (4095,
+    # 8192, 12289), start on one, span one, and a column is shared by two
+    # cells; then 4100 one-value prefixes run across the edge at 4096
+    rng = np.random.default_rng(15)
+    spread = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-40, 40, 500)
+    pool = np.concatenate([EDGE_VALUES, spread])
+
+    def column(n):
+        return np.roll(np.resize(pool, n), int(rng.integers(len(pool))))
+
+    shared = column(4095)
+    pairs = [(shared, column(4095)), (column(1), column(1)), (column(4097), column(4097)),
+             (column(0), column(0)), (column(4096), column(4096)), (column(4095), shared)]
+    cells = [Cell((), pair) for pair in pairs]
+    one = column(1)
+    prefixes = [Cell((v,), (one,)) for v in column(4100).tolist()]
+    return [Table(["x", "y"], meta={"engine": "test"}, cells=cells),
+            Table(["p", "x"], meta={"engine": "test"}, cells=prefixes)]
+
+
 @pytest.mark.parametrize("fmt, oracle", [("csv", oracle_csv), ("json", oracle_json)])
 def test_block_writer_matches_per_value_rules_on_edge_values(tmp_path, fmt, oracle):
     for table in (
         edge_table(), edge_table(5), edge_table(1), Table(["x", "y"], []),
         Table(["x", "y"], meta={"engine": "test"}, cells=[]), zero_row_cell_table(),
+        *chunk_edge_tables(),
     ):
         path = tmp_path / f"t.{fmt}"
         write_table(table, path, fmt)
@@ -387,6 +411,44 @@ def test_block_writer_matches_per_value_rules_on_bundled_tables(tmp_path, name, 
     path = tmp_path / f"{name}.{fmt}"
     write_table(table, path, fmt)
     assert path.read_bytes() == oracle(table).encode("utf-8")
+
+
+# sha256 of every bundled table as written, with numpy 2.4.6 and
+# scipy-openblas 0.3.31 (the same with BLAS on 1 or 2 threads).  A change
+# to the bytes, such as a stated precision fix, changes its digest here.
+BUNDLED_DIGESTS = {
+    "fig2a.csv": "f89a10cc03a8d62872d5d91456362fbb7191a8536ff99a14adf8d6fc5cf91c9a",
+    "fig2a.json": "6f97020b9cacd565d307f36f95158862eb2fa7d9edb15008f71751e0334718b1",
+    "fig2b.csv": "9b90af0cd45319af616453451534ed42559d7cbd88842d46d002d24fea42efa9",
+    "fig2b.json": "10f8402fd3847db6a88ff6ce64ddcecde1ef7e139be783ce25f535a13b3967e8",
+    "fig4.csv": "af4be6349d00dad590e429990da61a16852ba0910e00a2139ea265359cbb5aa5",
+    "fig4.json": "3d6baafb1073d4c641cb87199cb9ab186d0b7191c62657665648a095fe3448c1",
+    "fig5.csv": "c7e6cdfd7957d40c2002745c0b1497ecc7f7998b7219fb859518446c50ed2841",
+    "fig5.json": "eea751f6430d42cccd2c3cad94270f275c0c3c3d0f63d9d790b3521f06594b2b",
+    "fig6.csv": "9df77c48356921a1ac15c0ef104022c66f0b34b2db97b80a27dc1f76cdc44e8c",
+    "fig6.json": "326fd425485a47d0f36572f7cec7c6036a4081a0c72ea59f0be41597405b3f8a",
+    "fig7.csv": "ff8d0af28821dee89fe2d31109116c8c3f863f1aac9d900e9b6f26cc4fd7e020",
+    "fig7.json": "04ac618c8f2ad7a071fd8de2c5374a9b23f4b22674cdf416a36cc7dfed3f85d6",
+    "fig8.csv": "84005c61c619c85051fb1b1eb8530e2ae96c48b2d3da0869988265dd0df46613",
+    "fig8.json": "2cda22102850e1f1821d7367c62846e048cb485fb2216a0044aa7501f7a1c6c0",
+    "fig9.csv": "734e250f1f3a1b276ce79b0f0cbc8789b58348648c9173188b0e2f14eebf927c",
+    "fig9.json": "8e39cc4a32b8094c0a250fb0344d778504d80ef304e19f838869c2d71d00661e",
+    "fig10.csv": "e04f211b8bddd0f67f74b3ecf6be70ec28c1c245615efe102c92801d1941a61e",
+    "fig10.json": "e8ba360200860f0e7462330a42ecc9009a85fec8d51c81f7bbb3e788c8b594c4",
+}
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="digests recorded with numpy 2.4.6 / scipy-openblas 0.3.31")
+def test_bundled_tables_keep_their_bytes(tmp_path):
+    digests = {}
+    for name in BUNDLED_CONFIGS:
+        table = run_sweep(parse_config(bundled_config_text(name)).sweep)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{name}.{fmt}"
+            write_table(table, path, fmt)
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == BUNDLED_DIGESTS
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -647,6 +709,49 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("cavity", bundled_config_text("fig9").replace("0, 0.2, 0.4 a", "0, 0.2, -0.4 a"),
          "line 8: key 'rho_values'"),
         ("transmit", MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 1.5 a"), "line 6: key 'rho'"),
+        # finite values whose arithmetic overflows or divides by zero; these
+        # ended in a traceback (omega^3 of the dipole, 4 / (pi w^2))
+        ("gaps", bundled_config_text("fig4").replace("omega_odd = 530 gamma",
+                                                     "omega_odd = 1e300 gamma"),
+         "line 7: key 'omega_odd'"),
+        # the first species the lattice light's frequency overflows
+        ("transmit", bundled_config_text("fig6").replace("lattice_detuning = 10 gamma",
+                                                         "lattice_detuning = 1e300 gamma"),
+         "line 6: key 'omega_even'"),
+        ("bands", bundled_config_text("fig2a").replace("waist = 5 um", "waist = 1e-300 um"),
+         "line 8: key 'waist'"),
+        ("bands", bundled_config_text("fig2a").replace("waist = 5 um", "waist = 1e300 um"),
+         "line 8: key 'waist'"),
+        ("cavity", bundled_config_text("fig9").replace("cavity_waist = 130 um",
+                                                       "cavity_waist = 1e-300 um"),
+         "line 13: key 'cavity_waist'"),
+        ("cavity", bundled_config_text("fig9").replace("cavity_waist = 130 um",
+                                                       "cavity_waist = 1e300 um"),
+         "line 13: key 'cavity_waist'"),
+        # values checked where they are read; these errors named no key or line
+        ("cavity", bundled_config_text("fig9").replace("kappa = 21 kHz", "kappa = -21 kHz"),
+         "line 11: key 'kappa': must be positive"),
+        ("cavity", bundled_config_text("fig9").replace("85 mm", "0 mm"),
+         "line 10: key 'cavity_length': must be positive"),
+        ("cavity", bundled_config_text("fig9").replace("130 um", "0 um"),
+         "line 13: key 'cavity_waist': must be positive"),
+        ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 0"),
+         "line 14: key 'occupancy': must be positive"),
+        ("cavity", bundled_config_text("fig9").replace("finesse = 170000", "finesse = -5"),
+         "line 12: key 'finesse': must be positive"),
+        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 0"),
+         "line 9: key 'planes'"),
+        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "cells = 0"),
+         "line 9: key 'cells'"),
+        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 3"),
+         "line 9: key 'planes': must be even"),
+        ("transmit", bundled_config_text("fig6").replace("5.7e-2 um^-2", "0 um^-2"),
+         "line 10: key 'areal_density': must be positive"),
+        ("transmit", bundled_config_text("fig6").replace("probe_points = 4801",
+                                                         "probe_points = 1"),
+         "line 13: key 'probe_points'"),
+        ("transmit", bundled_config_text("fig6").replace("rb85_d2", "rb87"),
+         "line 4: key 'species': unknown transition 'rb87'"),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -696,6 +801,63 @@ def test_cli_bad_gap_input_exit_code(tmp_path, capsys, edit):
     assert run_cli(["gaps", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "must" in err
+
+
+# One key of a bundled config changed, through main: the exit code is 0, 1
+# or 2 and never a traceback.  The sizes are cut so that a run takes
+# milliseconds, and no count is drawn above 64.
+
+FUZZ_SIZES = {"n_q": "11", "n_bz": "4", "rho_points": "3", "probe_points": "41"}
+
+
+def fuzz_base(name: str) -> list[str]:
+    """The assignment lines of a bundled config, its sizes cut."""
+    lines = []
+    for line in bundled_config_text(name).splitlines():
+        key = line.split("=")[0].strip()
+        if not line.startswith("#"):
+            lines.append(f"{key} = {FUZZ_SIZES[key]}" if key in FUZZ_SIZES else line)
+    return lines
+
+
+FUZZ_CONFIGS = {name: fuzz_base(name) for name in BUNDLED_CONFIGS}
+FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "2", "3", "64", "0.5"]
+COUNT_KEYS = {"rho_points", "cells", "planes", "probe_points", "n_bz", "n_q"}
+
+
+@st.composite
+def one_key_edits(draw) -> str:
+    lines = list(FUZZ_CONFIGS[draw(st.sampled_from(BUNDLED_CONFIGS))])
+    i = draw(st.integers(0, len(lines) - 1))
+    key, value = (part.strip() for part in lines[i].split("=", 1))
+    words = value.rsplit(None, 1)
+    unit = words[1] if len(words) == 2 else None
+    edit = draw(st.sampled_from(["value", "unit", "drop", "duplicate"]))
+    if edit == "value":
+        counts = [v for v in FUZZ_VALUES if v not in ("1e300", "inf")]
+        number = draw(st.sampled_from(counts if key in COUNT_KEYS else FUZZ_VALUES))
+        lines[i] = f"{key} = {number}" + (f" {unit}" if unit else "")
+    elif edit == "unit":
+        wrong = draw(st.sampled_from([u for u in ("parsec", "gamma", "um", "kHz") if u != unit]))
+        lines[i] = f"{key} = {words[0]} {wrong}"
+    elif edit == "drop":
+        del lines[i]
+    else:
+        lines.append(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
+@settings(max_examples=300, deadline=None)
+@given(text=one_key_edits())
+def test_config_fuzz_exits_with_a_code(tmp_path_factory, text):
+    here = tmp_path_factory.getbasetemp()
+    cfg, out = here / "fuzz.cfg", here / "fuzz.csv"
+    cfg.write_text(text)
+    out.unlink(missing_ok=True)
+    code = main(["scan", "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert code != 1 or not out.exists()
 
 
 def test_cli_missing_config_file(capsys):
