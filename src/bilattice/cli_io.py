@@ -19,7 +19,12 @@ Every number must be finite.  A config holds only the keys its engine reads:
 an unknown key is rejected before any value is read, and a known key that
 the engine does not read is rejected after parsing.  Every rho lies in
 [0, a], and q_max in (0, G0/2]; rates, lengths, densities, occupancy and
-finesse are positive.  An error names its key and line where one key is at
+finesse are positive.  Values outside what an engine computes are rejected
+as well: every probe frequency lies below twice the line it detunes from
+(a point at or below 0 stays a NaN row with an error entry),
+|cavity_detuning| < omega_0, the gap window lies in (0, n_bz omega_0], and
+the cavity's density, squared single-atom coupling g^2 and collective rate
+M n-bar g^2 are finite.  An error names its key and line where one key is at
 fault.  The reference chain: the named species fixes
 (omega_atom, gamma); the lattice light sits at omega_0 = omega_atom +
 lattice_detuning x gamma; the cell size is a = 2 pi c / omega_0; both
@@ -58,8 +63,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import C, TWO_PI
-from .core import AtomSpecies, LatticeConfig
+from .constants import C, DEFAULT_N_BZ, TWO_PI
+from .core import AtomSpecies, LatticeConfig, cavity_coupling
 from .sweep import ENGINES, SweepSpec, Table, run_sweep
 from .tableio import write_table
 
@@ -158,6 +163,12 @@ class _Entry:
             yield
         except (ValueError, ArithmeticError) as exc:
             self.fail(f"{type(exc).__name__}: {exc}")
+
+    def finite(self, value: float, what: str) -> float:
+        """``value``, which this key's value gives, if it is finite."""
+        if not math.isfinite(value):
+            self.fail(f"gives {what} = {value}; it must be finite")
+        return value
 
     def integer(self, least: int | None = None) -> int:
         value = self.scalar(None, "count")
@@ -307,6 +318,7 @@ def _parse(text: str) -> RunConfig:
     cells_entry, planes_entry = take("cells"), take("planes")
     if cells_entry is not None and planes_entry is not None:
         raise ConfigError("give exactly one of 'cells' and 'planes'")
+    count_entry = cells_entry or planes_entry
     if cells_entry is not None:
         cell_count = cells_entry.integer(least=1)
     elif planes_entry is not None:
@@ -337,12 +349,17 @@ def _parse(text: str) -> RunConfig:
         # transmit detunes against the even-species transition (paper-figure
         # axis); the cavity engine against the lattice reference omega_0
         anchor = species_even.transition_frequency if engine == "transmit" else omega0
+        if not pmax < anchor:
+            pmax_entry.fail(f"must keep every probe frequency below {2 * anchor:.6g} rad/s "
+                            "(twice the line it detunes from)")
         spec_kwargs["probe_grid"] = anchor + np.linspace(pmin, pmax, npts)
 
     if engine == "cavity":
         from .cavity import CavityConfig
         det_entry = take("cavity_detuning")
         cavity_det = det_entry.scalar({"gamma": gamma_ref}, "detuning") if det_entry else 0.0
+        if not abs(cavity_det) < omega0:
+            det_entry.fail(f"must satisfy |cavity_detuning| < omega_0 = {omega0:.6g} rad/s")
         phase_entry, phases_entry = take("phase"), take("phase_values")
         if (phase_entry is None) == (phases_entry is None):
             raise ConfigError("give exactly one of 'phase' and 'phase_values'")
@@ -355,10 +372,11 @@ def _parse(text: str) -> RunConfig:
         pump_entry = take("pump")
         commensurate_entry = take("commensurate")
         density_entry = require("cavity_waist")
+        length_entry = require("cavity_length")
         cavity = CavityConfig(
             mode_frequency=omega0 + cavity_det,
             linewidth=require("kappa").positive(_RATE_UNITS, "rate"),
-            length=require("cavity_length").positive(length_units, "length"),
+            length=length_entry.positive(length_units, "length"),
             waist=density_entry.positive(length_units, "length"),
             phase=phase,
             # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
@@ -373,10 +391,14 @@ def _parse(text: str) -> RunConfig:
 
     # --- the one lattice density n_s [m^-2] ---
     if engine == "cavity":
+        # the density the cavity coupling implies: n-bar atoms per site over
+        # the mode area pi w_c^2 / 4; the waist is at fault if one atom per
+        # mode area is not finite, else the occupancy
         with density_entry.blamed():
-            # the density the cavity coupling implies: n-bar atoms per site
-            # over the mode area pi w_c^2 / 4
-            areal_density = cavity.occupancy / (math.pi * cavity.waist**2 / 4.0)
+            mode_area = math.pi * cavity.waist**2 / 4.0
+            density_entry.finite(1.0 / mode_area, "one atom per mode area")
+        density_entry = occupancy_entry or density_entry
+        areal_density = cavity.occupancy / mode_area
     else:
         areal_entry, waist_entry = take("areal_density"), take("waist")
         if (areal_entry is None) == (waist_entry is None):
@@ -403,6 +425,14 @@ def _parse(text: str) -> RunConfig:
         )
     spec_kwargs["lattice"] = lattice
 
+    if engine == "cavity":
+        # every intensity takes each species' collective rate M n-bar g^2
+        g = max(cavity_coupling(sp, cavity) for sp in (species_even, species_odd))
+        length_entry.finite(g * g, "a squared single-atom coupling g^2")
+        (occupancy_entry or count_entry).finite(
+            cavity.cell_count * cavity.occupancy * g * g, "a collective rate M n g^2"
+        )
+
     if engine in ("bands", "gaps"):
         for key, least in (("n_bz", 1), ("n_q", 3)):
             entry = take(key)
@@ -426,6 +456,12 @@ def _parse(text: str) -> RunConfig:
                 high = wmax.scalar(gamma_units, "detuning")
                 if high <= low:
                     wmax.fail("must exceed window_min")
+                # the photon basis holds modes up to about (n_bz + 1/2) omega_0
+                if not omega0 + low > 0:
+                    wmin.fail("must put the window above 0 rad/s")
+                top = spec_kwargs.get("n_bz", DEFAULT_N_BZ) * omega0
+                if not omega0 + high <= top:
+                    wmax.fail(f"must keep the window at or below n_bz omega_0 = {top:.6g} rad/s")
                 spec_kwargs["window"] = (omega0 + low, omega0 + high)
             for key in ("cover_tol", "min_band_width"):
                 entry = take(key)

@@ -12,7 +12,8 @@ rounding tie or next to a decade edge, zeros, non-finite values and |x|
 outside [1e-33, 1e55) are formatted one by one with ``"%.12g" % v``.  The
 rows are then laid out from those bytes a block of rows at a time: each
 column's slot rows, with constant rows for the separators, transposed to
-row-major, the 0 padding dropped (``_row_blocks``).  The bytes are written
+row-major, and the 0 padding deleted from its bytes by one
+``bytes.translate`` (``_row_blocks``).  The bytes are written
 as they are laid out, and they are those of per-value ``f"{v:.12g}"``
 (CSV) and of ``json.dumps(indent=1)`` over the rounded floats with NaN as
 null (JSON).
@@ -243,14 +244,15 @@ _LAYOUTS = {
 
 
 def _row_blocks(table: Table, fmt: str):
-    """The table's rows as byte arrays, ``_BLOCK_ROWS`` rows at a time.
+    """The table's rows as bytes, ``_BLOCK_ROWS`` rows at a time.
 
     The shapes are checked and every value is rendered (see ``_rendered``)
     before the first block is returned.  A block is laid out slot-major
     from each column's slot rows over the block's rows and constant rows
     for the cell's lead (the row head and its prefix tokens) and the
-    separators, then transposed to row-major; dropping the 0 padding leaves
-    the rows' bytes.
+    separators, then transposed to row-major.  No token, separator or head
+    holds a 0 byte, so deleting the 0 padding from the block's bytes
+    (``bytes.translate``, one C pass) leaves the rows' bytes.
     """
     cells = [cell for cell in table.cells if cell.columns and len(cell.columns[0])]
     for prefix, columns in cells:
@@ -301,8 +303,7 @@ def _row_blocks(table: Table, fmt: str):
                 block = np.empty((width, k), np.uint8, order="F")
                 rows = [src[:, lo:lo + k] for src in sources] if k < n else sources
                 np.concatenate(rows, out=block)
-                block = block.T
-                yield block[block != 0][skip:]
+                yield block.T.tobytes().translate(None, b"\0")[skip:]
                 skip = 0
 
     return blocks()
@@ -353,7 +354,7 @@ def write_table(table: Table, destination, fmt: str = "csv") -> None:
     log = "".join(json.dumps(_jsonable(e)) + "\n" for e in errors)
     if destination in (None, "-"):
         for chunk in chunks:
-            sys.stdout.write(bytes(chunk).decode("utf-8"))
+            sys.stdout.write(chunk.decode("utf-8"))
         sys.stderr.write(log)
         return
     path = Path(destination)

@@ -187,7 +187,10 @@ def stack_coefficients(cell: ScatterMatrix, n: int) -> tuple[complex, complex]:
     division by sin Theta; it is off by a relative (n sin Theta)^2 / 2 < 5e-17,
     below float64 rounding, and above the cutover the closed form keeps
     relative accuracy, so only sin Theta = 0 itself needs the limit.
-    Elementwise for a matrix of arrays.
+    Elementwise for a matrix of arrays.  The log form of the phase (where
+    |sin Theta| >= |cos Theta|) and the parabolic limit are each evaluated
+    only at the points that take them, with the same operations a
+    whole-array evaluation applies there.
     """
     if n < 1:
         raise ValueError("need at least one cell")
@@ -196,19 +199,30 @@ def stack_coefficients(cell: ScatterMatrix, n: int) -> tuple[complex, complex]:
     b = cell.m22 - cos
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # cos + i sin = sign e^{i phi}; arctan keeps small phi relatively exact
-        phi = np.where(
-            np.abs(sin) < np.abs(cos), np.arctan(sin / cos), -1j * np.log(sign * (cos + 1j * sin))
-        )
+        phi = np.arctan(sin / cos)
+        logged = ~(np.abs(sin) < np.abs(cos))
+        if logged.any():
+            phi = np.array(phi)
+            s, c, z = _taken(logged, sign, cos, sin)
+            phi[logged] = -1j * np.log(s * (c + 1j * z))
         w = sign ** (n % 2) * np.exp(1j * n * phi)     # e^{i n Theta}, |w| <= 1
         w2m1 = np.expm1(2j * n * phi)                  # w^2 - 1
         den = w2m1 * (sin - 1j * b) + 2.0 * sin
         r = -1j * cell.m12 * w2m1 / den
         t = 2.0 * w * sin / den
         parabolic = n * np.abs(sin) < _DEGENERATE_NSIN
-        limit = n * cell.m22 - (n - 1) * sign      # s^{n-1} (M^n)_22 at the limit
-        r = np.where(parabolic, n * cell.m12 / limit, r)
-        t = np.where(parabolic, sign ** ((n - 1) % 2) / limit, t)
+        if parabolic.any():
+            r, t = np.array(r), np.array(t)
+            m12, m22, s = _taken(parabolic, cell.m12, cell.m22, sign)
+            limit = n * m22 - (n - 1) * s          # s^{n-1} (M^n)_22 at the limit
+            r[parabolic] = n * m12 / limit
+            t[parabolic] = s ** ((n - 1) % 2) / limit
     return r[()], t[()]
+
+
+def _taken(mask, *values):
+    """Each value (an array or a scalar) at the points where mask holds."""
+    return [np.broadcast_to(v, np.shape(mask))[mask] for v in values]
 
 
 def transmission_closed_form(cfg: LatticeConfig, omega_p: float, n: int) -> complex:

@@ -306,7 +306,7 @@ EDGE_VALUES = [
 
 
 def edge_table(n_rows: int = 1100) -> Table:
-    # every value in every column, over more than two 512-row blocks
+    # every value in every column, over more than one 1024-row block
     n = len(EDGE_VALUES)
     rows = [tuple(EDGE_VALUES[(i + j) % n] for j in range(3)) for i in range(n_rows)]
     return Table(["x", "y", "z"], rows, {"engine": "test", "grid": [0.5, math.nan]})
@@ -350,6 +350,23 @@ def test_block_writer_matches_per_value_rules_on_edge_values(tmp_path, fmt, orac
     ):
         path = tmp_path / f"t.{fmt}"
         write_table(table, path, fmt)
+        assert path.read_bytes() == oracle(table).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt, oracle", [("csv", oracle_csv), ("json", oracle_json)])
+def test_block_writer_matches_per_value_rules_at_block_edges(tmp_path, fmt, oracle):
+    # rows one before, on and one after the edges of the 1024-row blocks (the
+    # JSON layout drops the lead of the first block's first row only), and a
+    # cell shorter than one block after a cell longer than one
+    assert tableio._BLOCK_ROWS == 1024
+    axis = np.resize(np.array(EDGE_VALUES), 1500)
+    cells = [Cell((0.5,), (axis, axis[::-1])), Cell((-0.0,), (axis[:7], axis[7:14]))]
+    for table in (
+        *(edge_table(n) for n in (1023, 1024, 1025, 2048, 2049)),
+        Table(["p", "x", "y"], meta={"engine": "test"}, cells=cells),
+    ):
+        path = tmp_path / f"t.{fmt}"
+        write_table(table, path, fmt)   # before .rows turns the cells into rows
         assert path.read_bytes() == oracle(table).encode("utf-8")
 
 
@@ -752,6 +769,41 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
          "line 13: key 'probe_points'"),
         ("transmit", bundled_config_text("fig6").replace("rb85_d2", "rb87"),
          "line 4: key 'species': unknown transition 'rb87'"),
+        # values outside what the engines compute; these wrote a table of NaN
+        # or mostly NaN rows and exited 0
+        ("gaps", bundled_config_text("fig4").replace("window_max = 800 gamma",
+                                                     "window_max = 1e300 gamma"),
+         "line 15: key 'window_max': must keep the window at or below n_bz omega_0"),
+        ("gaps", bundled_config_text("fig5").replace("window_max = 800 gamma",
+                                                     "window_max = 1e300 gamma"),
+         "line 14: key 'window_max'"),
+        *(
+            ("transmit", bundled_config_text(name).replace("probe_max = 600 gamma",
+                                                           "probe_max = 1e300 gamma"),
+             "line 12: key 'probe_max': must keep every probe frequency below")
+            for name in ("fig6", "fig7", "fig8")
+        ),
+        *(
+            edit
+            for name in ("fig9", "fig10")
+            for edit in (
+                ("cavity", bundled_config_text(name).replace("cavity_detuning = 0 gamma",
+                                                             "cavity_detuning = 1e300 gamma"),
+                 "line 17: key 'cavity_detuning': must satisfy |cavity_detuning| < omega_0"),
+                ("cavity", bundled_config_text(name).replace("occupancy = 3000",
+                                                             "occupancy = 1e300"),
+                 "line 14: key 'occupancy': gives a collective rate"),
+                ("cavity", bundled_config_text(name).replace("cavity_length = 85 mm",
+                                                             "cavity_length = 1e-300 mm"),
+                 "line 10: key 'cavity_length': gives a squared single-atom coupling"),
+            )
+        ),
+        ("gaps", bundled_config_text("fig4").replace("window_min = -800 gamma",
+                                                     "window_min = -1e300 gamma"),
+         "line 14: key 'window_min': must put the window above 0"),
+        # n-bar atoms per mode area overflow: the occupancy is at fault, not the waist
+        ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 1e305"),
+         "line 14: key 'occupancy': ValueError: areal density must be positive and finite"),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -858,6 +910,48 @@ def test_config_fuzz_exits_with_a_code(tmp_path_factory, text):
     code = main(["scan", "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2)
     assert code != 1 or not out.exists()
+
+
+def one_value_edits():
+    """(label, text) of every cut bundled config with one assignment's number
+    replaced by each of FUZZ_VALUES, its unit kept (counts never 1e300/inf)."""
+    for name, lines in FUZZ_CONFIGS.items():
+        for i, line in enumerate(lines):
+            key, value = (part.strip() for part in line.split("=", 1))
+            words = value.rsplit(None, 1)
+            unit = f" {words[1]}" if len(words) == 2 else ""
+            for number in FUZZ_VALUES:
+                if key in COUNT_KEYS and number in ("1e300", "inf"):
+                    continue
+                edited = f"{key} = {number}{unit}"
+                yield f"{name}: {edited}", "\n".join([*lines[:i], edited, *lines[i + 1:]]) + "\n"
+
+
+def is_engine_value(column: str) -> bool:
+    # the gap edge columns are NaN where a row has fewer gaps than columns
+    return column in ("T", "R", "A") or column.startswith(("intensity_", "gap_count", "band_"))
+
+
+@pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
+def test_every_one_value_edit_writes_finite_engine_values(tmp_path, capsys):
+    # an accepted value must not end in a table of NaN or infinite engine
+    # values with exit 0: a value outside an engine's range exits 1 instead
+    cfg, out = tmp_path / "edit.cfg", tmp_path / "edit.csv"
+    runs, silent = 0, []
+    for label, text in one_value_edits():
+        cfg.write_text(text)
+        out.unlink(missing_ok=True)
+        code = main(["scan", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2), label
+        runs += 1
+        if code == 0:
+            table = read_table(out)
+            engine = [j for j, c in enumerate(table.columns) if is_engine_value(c)]
+            if not np.isfinite(np.array(table.rows)[:, engine]).all():
+                silent.append(label)
+    capsys.readouterr()
+    assert runs == 1118
+    assert silent == []
 
 
 def test_cli_missing_config_file(capsys):

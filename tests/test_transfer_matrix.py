@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from bilattice.constants import C, TWO_PI
 from bilattice.core import xi_parameter
 from bilattice.transfer_matrix import (
+    _DEGENERATE_NSIN,
     ScatterMatrix,
+    _cos_sin,
     cell_dephasing,
     dimer_matrix,
     period_matrix,
@@ -269,6 +271,66 @@ def test_degenerate_bragg_point_is_finite(probe_lattice, omega0):
     assert cmath.isfinite(t)
     power = np.linalg.matrix_power(dimer_matrix(probe_lattice, omega0).as_array(), n)
     assert t == pytest.approx(1.0 / power[1, 1], rel=1e-9)
+
+
+def both_branch_coefficients(cell: ScatterMatrix, n: int):
+    """stack_coefficients as written with np.where over both branches, each
+    evaluated at every point."""
+    cos, sin = _cos_sin(cell)
+    sign = np.where(cos.real >= 0, 1.0, -1.0)
+    b = cell.m22 - cos
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = np.where(
+            np.abs(sin) < np.abs(cos), np.arctan(sin / cos), -1j * np.log(sign * (cos + 1j * sin))
+        )
+        w = sign ** (n % 2) * np.exp(1j * n * phi)
+        w2m1 = np.expm1(2j * n * phi)
+        den = w2m1 * (sin - 1j * b) + 2.0 * sin
+        r = -1j * cell.m12 * w2m1 / den
+        t = 2.0 * w * sin / den
+        parabolic = n * np.abs(sin) < _DEGENERATE_NSIN
+        limit = n * cell.m22 - (n - 1) * sign
+        r = np.where(parabolic, n * cell.m12 / limit, r)
+        t = np.where(parabolic, sign ** ((n - 1) % 2) / limit, t)
+    return r[()], t[()]
+
+
+def test_branches_taken_pointwise_keep_every_bit(probe_lattice, omega0):
+    # a fig6 lattice from 0.3 to 1.8 omega_0 takes the arctan form at about
+    # half of the points and the log form at the rest; an empty cell one
+    # wavelength long (sin Theta ~ 2e-16) takes the parabolic limit
+    grid = np.linspace(0.3 * omega0, 1.8 * omega0, 201)
+    dimers = dimer_matrix(probe_lattice, grid)
+    empty = period_matrix(0.0, probe_lattice.cell_size, omega0 / C)
+    cells = ScatterMatrix(*(
+        np.append(getattr(dimers, k), getattr(empty, k)) for k in ("m11", "m12", "m21", "m22")
+    ))
+    cos, sin = _cos_sin(cells)
+    n = probe_lattice.cell_count
+    assert 50 < np.count_nonzero(~(np.abs(sin) < np.abs(cos))) < 150
+    assert np.count_nonzero(n * np.abs(sin) < _DEGENERATE_NSIN) == 1
+
+    def bits(values):
+        return np.asarray(values).tobytes()
+
+    for count in (n, n + 1, 1):
+        got = stack_coefficients(cells, count)
+        assert list(map(bits, got)) == list(map(bits, both_branch_coefficients(cells, count)))
+        # one point at a time, as one-element arrays (arithmetic on numpy
+        # scalars may round complex products differently from the array loops)
+        for i in range(len(grid) + 1):
+            point = ScatterMatrix(*(
+                getattr(cells, k)[i:i + 1] for k in ("m11", "m12", "m21", "m22")
+            ))
+            assert list(map(bits, stack_coefficients(point, count))) == [
+                bits(got[0][i:i + 1]), bits(got[1][i:i + 1])
+            ]
+    # 0-d input: a scalar cell on the arctan, the log and the parabolic branch
+    for point in (dimer_matrix(probe_lattice, 1.5 * omega0),
+                  dimer_matrix(probe_lattice, 1.2 * omega0), empty):
+        got = stack_coefficients(point, n)
+        assert all(np.ndim(v) == 0 for v in got)
+        assert list(map(bits, got)) == list(map(bits, both_branch_coefficients(point, n)))
 
 
 def test_lossless_stack_conserves_energy():
