@@ -8,9 +8,9 @@ engine arrays: the cell's constant coordinates as a prefix, and its column
 arrays, among them the axes every cell shares (the probe grid and detuning,
 the q grid), passed as the same array object to every cell.  The gaps
 engine, one row per rho, makes one cell of the whole scan instead, with
-rho/a as its first column.  A failing cell or probe point contributes
-NaN-marked rows and an entry in the table's error list instead of
-aborting the sweep.
+rho/a as its first column, and builds one ``GapScan`` plan for all its rho.
+A failing cell or probe point contributes NaN-marked rows and an entry in
+the table's error list instead of aborting the sweep.
 
 Each engine's table function imports that engine's module when it runs, so
 a sweep loads only the engine it uses.
@@ -18,6 +18,7 @@ a sweep loads only the engine it uses.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -156,15 +157,18 @@ class SweepSpec:
 def _run_cells(table: Table, cells: list[dict], run, failed) -> list:
     """run(coords) for each coordinate dict of ``cells``, in order.
 
-    Where run raises, the cell gets ``failed`` (the engine's NaN columns)
-    instead and the table an error entry: the coordinates plus
-    "<Type>: <message>".  The error list is touched only then, so a clean
-    run's meta has no "errors" key.
+    Where run raises, or issues a ``RuntimeWarning`` (numpy's overflow,
+    invalid-value and divide warnings among them), the cell gets ``failed``
+    (the engine's NaN columns) instead and the table an error entry: the
+    coordinates plus "<Type>: <message>".  The error list is touched only
+    then, so a clean run's meta has no "errors" key.
     """
     results = []
     for coords in cells:
         try:
-            results.append(run(coords))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                results.append(run(coords))
         except Exception as exc:  # noqa: BLE001 - reported per cell
             table.errors.append({**coords, "error": f"{type(exc).__name__}: {exc}"})
             results.append(failed)
@@ -226,16 +230,14 @@ def _gaps_table(spec: SweepSpec) -> Table:
     rhos = spec.resolved_rhos()
     table = Table(columns, meta={"engine": "gaps", "rho_values": list(map(float, rhos))})
 
+    plan = []   # the table's one GapScan, built in the first cell's guard
+
     def run(coords):
-        entry = bandstructure.gap_widths_vs_rho(
-            cfg,
-            [coords["rho"]],
-            window=spec.window,
-            n_bz=spec.n_bz,
-            n_q=spec.n_q,
-            cover_tol=spec.cover_tol,
-            min_band_width=spec.min_band_width,
-        )[0]
+        if not plan:
+            plan.append(bandstructure.GapScan(
+                cfg, spec.window, spec.n_bz, spec.n_q, spec.cover_tol, spec.min_band_width
+            ))
+        entry = plan[0].entry(coords["rho"])
         row = [float(len(entry.gaps))]
         for g in entry.gaps[:_GAP_SLOTS]:
             row += [_gamma_units(spec, g.lower_edge), _gamma_units(spec, g.upper_edge),

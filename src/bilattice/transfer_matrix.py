@@ -229,10 +229,12 @@ def transmission_closed_form(cfg: LatticeConfig, omega_p: float, n: int) -> comp
     """Transmission amplitude t_n = 1/((M_cell)^n)_22 of n cells, closed form.
 
     Stable up to n ~ 1e6; the degenerate band-center case sin Theta = 0 is
-    evaluated through the parabolic limit rather than by division.
+    evaluated through the parabolic limit rather than by division.  A
+    one-element array runs the loops of ``spectrum_scan`` (numpy scalars
+    round some complex products differently), so t is its table's, bit for bit.
     """
-    _, t = stack_coefficients(dimer_matrix(cfg, omega_p), n)
-    return complex(t)
+    _, t = stack_coefficients(dimer_matrix(cfg, np.array([omega_p], dtype=float)), n)
+    return complex(t[0])
 
 
 class AsymptoticTransmission(NamedTuple):

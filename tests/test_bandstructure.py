@@ -11,12 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bilattice import bandstructure
 from bilattice.bandstructure import (
+    GapScan,
     _arrowhead,
-    _band_seeds,
     _count_below,
-    _coupling_weights,
+    _detuned,
     _q_grid,
-    _window_bands,
     analytic_band_edges,
     build_bloch_matrix,
     compute_bands,
@@ -219,6 +218,22 @@ def test_full_numeric_edges_match_analytic_to_1e3(omega0):
     assert rel < 1e-3
 
 
+def atoms_of(cfg):
+    return cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency
+
+
+def arrowhead_weights(cfg, q_grid, n_bz):
+    """omega_k and the (n_q, n_G, 4) count weights at cfg's rho, as fresh arrays."""
+    omega_k, c1, amp2, i_g = _arrowhead(cfg, q_grid, n_bz)
+    c2 = amp2 * np.exp(i_g * cfg.intracell_distance)
+    cross = c1 * np.conj(c2)
+    return omega_k, np.stack((np.abs(c1) ** 2, np.abs(c2) ** 2, cross.real, cross.imag), axis=-1)
+
+
+def count_below(omega, omega_k, weights, atoms):
+    return _count_below(omega, _detuned(omega, omega_k), weights, atoms)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     rho_frac=st.floats(0.0, 1.0),
@@ -236,9 +251,8 @@ def test_inertia_count_matches_eigvalsh(omega0, rho_frac, q_frac, detuning, spec
     evals = np.linalg.eigvalsh(build_bloch_matrix(q, cfg, n_bz=n_bz).matrix)
     # both counts are exact only up to rounding (~1e-6 gamma) at an eigenvalue
     assume(np.min(np.abs(evals - omega)) > 1e-4 * GAMMA)
-    omega_k, c1, c2 = _arrowhead(cfg, np.array([q]), n_bz)
-    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
-    count = _count_below(np.array([[omega]]), omega_k, _coupling_weights(c1, c2), atoms)
+    omega_k, weights = arrowhead_weights(cfg, np.array([q]), n_bz)
+    count = count_below(np.array([[omega]]), omega_k, weights, atoms_of(cfg))
     assert count[0, 0] == np.count_nonzero(evals < omega)
 
 
@@ -258,9 +272,8 @@ def test_inertia_count_symmetric_under_q_reversal(omega0, rho_frac, q_frac, detu
     )
     q = q_frac * cfg.reciprocal_vector
     omega = cfg.bragg_frequency + detuning * GAMMA
-    omega_k, c1, c2 = _arrowhead(cfg, np.array([q, -q]), n_bz)
-    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
-    count = _count_below(np.full((2, 1), omega), omega_k, _coupling_weights(c1, c2), atoms)
+    omega_k, weights = arrowhead_weights(cfg, np.array([q, -q]), n_bz)
+    count = count_below(np.full((2, 1), omega), omega_k, weights, atoms_of(cfg))
     assert count[0, 0] == count[1, 0]
 
 
@@ -277,29 +290,35 @@ def test_window_bands_symmetric_under_q_reversal(omega0, rho_frac, species, n_bz
     cfg = make_lattice(
         omega0, cells=100, rho_frac=rho_frac, detuning_even=species[0], detuning_odd=species[1]
     )
-    lower, upper = window_for(cfg)
-    bands = _window_bands(cfg, _q_grid(cfg, n_q), n_bz, lower, upper)
+    scan = GapScan(cfg, window_for(cfg), n_bz, q_grid=_q_grid(cfg, n_q))
+    bands = scan.window_bands(cfg.intracell_distance)
     assert np.array_equal(bands, bands[::-1])
 
 
 def bisect_window_bands(cfg, q_grid, n_bz, lower, upper):
-    """Every window band value bisected from [lower, upper] on the count."""
-    omega_k, c1, c2 = _arrowhead(cfg, q_grid, n_bz)
-    weights = _coupling_weights(c1, c2)
-    atoms = (cfg.species_even.transition_frequency, cfg.species_odd.transition_frequency)
+    """Every window band value bisected from [lower, upper] on the count,
+    from fresh arrays at cfg's rho."""
+    omega_k, weights = arrowhead_weights(cfg, q_grid, n_bz)
+    atoms = atoms_of(cfg)
     column = (len(q_grid), 1)
-    at_lower = _count_below(np.full(column, lower), omega_k, weights, atoms)
-    at_upper = _count_below(np.full(column, upper), omega_k, weights, atoms)
+    at_lower = count_below(np.full(column, lower), omega_k, weights, atoms)
+    at_upper = count_below(np.full(column, upper), omega_k, weights, atoms)
     k = np.arange(at_lower.min(), at_upper.max())
     lo = np.full((len(q_grid), k.size), lower)
     hi = np.full((len(q_grid), k.size), upper)
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
-        below = _count_below(mid, omega_k, weights, atoms) > k
+        below = count_below(mid, omega_k, weights, atoms) > k
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
         mid = 0.5 * (lo + hi)
     return np.where(k < at_lower, lower, np.where(k >= at_upper, upper, mid))
+
+
+def bisect_scan(scan, rho):
+    """``bisect_window_bands`` on the grid and padded window of a plan."""
+    cfg = scan.cfg.replace(intracell_distance=rho)
+    return bisect_window_bands(cfg, scan.q_grid, scan.n_bz, scan.lower, scan.upper)
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,52 +335,74 @@ def test_seeded_window_bands_match_plain_bisection(omega0, rho_frac, species, n_
     cfg = make_lattice(
         omega0, cells=cells, rho_frac=rho_frac, detuning_even=species[0], detuning_odd=species[1]
     )
-    lower, upper = window_for(cfg)
-    q_grid = _q_grid(cfg, n_q)
-    got = _window_bands(cfg, q_grid, n_bz, lower, upper)
-    assert np.array_equal(got, bisect_window_bands(cfg, q_grid, n_bz, lower, upper))
+    scan = GapScan(cfg, window_for(cfg), n_bz, q_grid=_q_grid(cfg, n_q))
+    got = scan.window_bands(cfg.intracell_distance)
+    assert np.array_equal(got, bisect_scan(scan, cfg.intracell_distance))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rho_fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5),
+    species=st.sampled_from([(-10.0, -10.0), (120.0, 120.0), (-10.0, 530.0), (-530.0, 530.0)]),
+    n_bz=st.integers(1, 12),
+    n_q=st.integers(3, 41),
+    cells=st.sampled_from([100, 500_000]),
+    random=st.randoms(use_true_random=False),
+)
+def test_one_plan_over_shuffled_rho_matches_fresh_bisection(
+    omega0, rho_fracs, species, n_bz, n_q, cells, random
+):
+    # the plan reuses its buffers from one rho to the next; no rho may see
+    # the state another left, whatever the order and with rho repeated
+    cfg = make_lattice(
+        omega0, cells=cells, detuning_even=species[0], detuning_odd=species[1]
+    )
+    rhos = [f * cfg.cell_size for f in rho_fracs + rho_fracs[:1]]
+    random.shuffle(rhos)
+    scan = GapScan(cfg, window_for(cfg), n_bz, n_q)
+    for rho in rhos:
+        assert np.array_equal(scan.window_bands(rho), bisect_scan(scan, rho))
 
 
 def bundled_scan_bands(name, rho_fracs, monkeypatch):
-    """(cfg, q grid, n_bz, lower, upper, bands, count calls) of each
-    ``_window_bands`` call the gap scan of a bundled config makes."""
+    """(plan, rho, bands, count calls) of each ``GapScan.window_bands``
+    call the gap scan of a bundled config makes."""
     spec = parse_config(bundled_config_text(name)).sweep
     lat = spec.lattice
     scans, calls = [], []
     count_below = bandstructure._count_below
-    window_bands = bandstructure._window_bands
+    window_bands = GapScan.window_bands
 
     def counting(*args):
         calls.append(1)
         return count_below(*args)
 
-    def recording(cfg, q_grid, n_bz, lower, upper):
+    def recording(scan, rho):
         calls.clear()
-        bands = window_bands(cfg, q_grid, n_bz, lower, upper)
-        scans.append((cfg, q_grid, n_bz, lower, upper, bands, len(calls)))
+        bands = window_bands(scan, rho)
+        scans.append((scan, rho, bands, len(calls)))
         return bands
 
-    monkeypatch.setattr(bandstructure, "_count_below", counting)
-    monkeypatch.setattr(bandstructure, "_window_bands", recording)
     rhos = [f * lat.cell_size for f in rho_fracs]
-    gap_widths_vs_rho(lat, rhos, window=spec.window, n_bz=spec.n_bz, n_q=spec.n_q,
-                      cover_tol=spec.cover_tol, min_band_width=spec.min_band_width)
+    with monkeypatch.context() as patch:
+        patch.setattr(bandstructure, "_count_below", counting)
+        patch.setattr(GapScan, "window_bands", recording)
+        gap_widths_vs_rho(lat, rhos, window=spec.window, n_bz=spec.n_bz, n_q=spec.n_q,
+                          cover_tol=spec.cover_tol, min_band_width=spec.min_band_width)
     return scans
 
 
 @pytest.mark.parametrize("shift", [10.0 * GAMMA, np.nan], ids=["shifted", "nan"])
 def test_window_bands_survive_wrong_seeds(shift, monkeypatch):
     # brackets that miss their band, or have no seed, restart from the window
-    seeds = bandstructure._band_seeds
+    seeds = GapScan._seeds
 
     def wrong_seeds(*args):
         return seeds(*args) + shift
 
-    monkeypatch.setattr(bandstructure, "_band_seeds", wrong_seeds)
-    for cfg, q_grid, n_bz, lower, upper, bands, calls in bundled_scan_bands(
-        "fig4", (0.0, 0.137), monkeypatch
-    ):
-        assert np.array_equal(bands, bisect_window_bands(cfg, q_grid, n_bz, lower, upper))
+    monkeypatch.setattr(GapScan, "_seeds", wrong_seeds)
+    for scan, rho, bands, calls in bundled_scan_bands("fig4", (0.0, 0.137), monkeypatch):
+        assert np.array_equal(bands, bisect_scan(scan, rho))
         assert calls > 30
 
 
@@ -372,17 +413,17 @@ def test_certified_values_stay_inside_the_window(monkeypatch):
     # that depends on the batch shape could, and every pair is seeded there
     spec = parse_config(bundled_config_text("fig4")).sweep
     lat = spec.lattice
-    q_grid = _q_grid(lat, spec.n_q)[spec.n_q // 2:]
-    lower, upper = spec.window
-    want = bisect_window_bands(lat, q_grid, spec.n_bz, lower, upper)
+    scan = GapScan(lat, spec.window, spec.n_bz, spec.n_q)
+    lower, rho = scan.lower, lat.intracell_distance
+    want = bisect_scan(scan, rho)
     count_below = bandstructure._count_below
 
     def shifted_at_lower(omega, *args):
         return count_below(omega, *args) + ((omega == lower) & (omega.shape[1] > 1))
 
     monkeypatch.setattr(bandstructure, "_count_below", shifted_at_lower)
-    monkeypatch.setattr(bandstructure, "_band_seeds", lambda *args: np.full(want.shape, lower))
-    assert np.array_equal(_window_bands(lat, q_grid, spec.n_bz, lower, upper), want)
+    monkeypatch.setattr(GapScan, "_seeds", lambda *args: np.full(want.shape, lower))
+    assert np.array_equal(scan.window_bands(rho), want)
 
 
 def test_empty_window_returns_after_the_two_edge_counts(monkeypatch):
@@ -394,15 +435,15 @@ def test_empty_window_returns_after_the_two_edge_counts(monkeypatch):
     gap = scan[0].gaps[0]
     quarter = 0.25 * (gap.upper_edge - gap.lower_edge)
     counts, seeds = [], []
-    count_below, band_seeds = bandstructure._count_below, bandstructure._band_seeds
+    count_below, band_seeds = bandstructure._count_below, GapScan._seeds
     monkeypatch.setattr(
         bandstructure, "_count_below", lambda *a: counts.append(1) or count_below(*a)
     )
-    monkeypatch.setattr(bandstructure, "_band_seeds", lambda *a: seeds.append(1) or band_seeds(*a))
-    q_grid = _q_grid(lat, spec.n_q)
-    bands = _window_bands(
-        lat, q_grid, spec.n_bz, gap.lower_edge + quarter, gap.upper_edge - quarter
-    )
+    monkeypatch.setattr(GapScan, "_seeds", lambda *a: seeds.append(1) or band_seeds(*a))
+    inside = (gap.lower_edge + quarter, gap.upper_edge - quarter)
+    scan = GapScan(lat, inside, spec.n_bz, q_grid=_q_grid(lat, spec.n_q), cover_tol=0.0)
+    assert gap.lower_edge < scan.lower < scan.upper < gap.upper_edge
+    bands = scan.window_bands(0.0)
     assert bands.shape == (spec.n_q, 0)
     assert len(counts) == 2 and not seeds
 
@@ -413,17 +454,19 @@ def test_seed_brackets_hold_the_bisected_values(name, monkeypatch):
     # value, so the two counts about the seed certify it and no pair falls
     # back to bisecting the whole window
     seeds = []
+    band_seeds = GapScan._seeds
 
     def recording_seeds(*args):
-        seeds.append(_band_seeds(*args))
+        seeds.append(band_seeds(*args))
         return seeds[-1]
 
-    monkeypatch.setattr(bandstructure, "_band_seeds", recording_seeds)
+    monkeypatch.setattr(GapScan, "_seeds", recording_seeds)
     scans = bundled_scan_bands(name, (0.0, 0.25, 0.5, 0.137), monkeypatch)
-    for seed, (cfg, q_grid, n_bz, lower, upper, bands, calls) in zip(seeds, scans):
-        want = bisect_window_bands(cfg, q_grid, n_bz, lower, upper)
+    assert len(seeds) == len(scans) == 4
+    for seed, (scan, rho, bands, calls) in zip(seeds, scans):
+        want = bisect_scan(scan, rho)
         assert np.array_equal(bands, want)
-        active = (lower < want) & (want < upper)
+        active = (scan.lower < want) & (want < scan.upper)
         assert active.any()
         assert np.all(np.abs(seed - want)[active] <= np.spacing(want[active]))
         assert calls == 4
@@ -438,6 +481,7 @@ def test_bundled_gap_scans_take_4_counts_per_rho(name, monkeypatch):
     scans = bundled_scan_bands(name, fracs, monkeypatch)
     assert len(scans) == len(fracs)
     assert [calls for *_, calls in scans] == [4] * len(fracs)
+    assert len({id(scan) for scan, *_ in scans}) == 1
 
 
 @pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "value", "above"])
@@ -445,11 +489,11 @@ def test_seeds_at_and_next_to_the_value_give_the_bisected_values(side, monkeypat
     # a seed at the bisected value is certified; a seed one float off is
     # certified or falls back, and either way the value is the bisection's
     scans = bundled_scan_bands("fig4", (0.0, 0.137), monkeypatch)
-    for cfg, q_grid, n_bz, lower, upper, _, _ in scans:
-        want = bisect_window_bands(cfg, q_grid, n_bz, lower, upper)
+    for scan, rho, _, _ in scans:
+        want = bisect_scan(scan, rho)
         seed = want if side == 0 else np.nextafter(want, side * np.inf)
-        monkeypatch.setattr(bandstructure, "_band_seeds", lambda *args: seed)
-        assert np.array_equal(_window_bands(cfg, q_grid, n_bz, lower, upper), want)
+        monkeypatch.setattr(GapScan, "_seeds", lambda *args: seed)
+        assert np.array_equal(scan.window_bands(rho), want)
 
 
 # ---------------------------------------------------------------------------
@@ -608,27 +652,18 @@ def test_rho_scan_matches_eigvalsh_gaps_on_bundled_configs(name):
 
 @pytest.mark.parametrize("n_q", [201, 200], ids=["odd", "even"])
 @pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])
-def test_half_zone_gap_scan_matches_full_zone(name, n_q, monkeypatch):
-    # gap_widths_vs_rho bisects only the q >= 0 half of the grid; each band's
-    # min and max over it must be those over the full zone, bit for bit
+def test_half_zone_gap_scan_matches_full_zone(name, n_q):
+    # a gap scan bisects only the q >= 0 half of the grid; each band's min
+    # and max over it must be those over the full zone, bit for bit
     spec = parse_config(bundled_config_text(name)).sweep
     lat = spec.lattice
-    scans = []
-
-    def recording_window_bands(cfg, q_grid, n_bz, lower, upper):
-        bands = _window_bands(cfg, q_grid, n_bz, lower, upper)
-        scans.append((cfg, n_bz, lower, upper, bands))
-        return bands
-
-    monkeypatch.setattr(bandstructure, "_window_bands", recording_window_bands)
-    rhos = [f * lat.cell_size for f in (0.0, 0.25, 0.5, 0.137)]
-    gap_widths_vs_rho(lat, rhos, window=spec.window, n_bz=spec.n_bz, n_q=n_q)
-    assert len(scans) == len(rhos)
-    full_grid = _q_grid(lat, n_q)
-    for cfg, n_bz, lower, upper, half in scans:
-        full = _window_bands(cfg, full_grid, n_bz, lower, upper)
-        assert np.array_equal(half.min(axis=0), full.min(axis=0))
-        assert np.array_equal(half.max(axis=0), full.max(axis=0))
+    half = GapScan(lat, spec.window, spec.n_bz, n_q)
+    full = GapScan(lat, spec.window, spec.n_bz, q_grid=_q_grid(lat, n_q))
+    assert np.array_equal(half.q_grid, full.q_grid[n_q // 2:]) and half.q_grid[0] >= 0
+    for rho in (f * lat.cell_size for f in (0.0, 0.25, 0.5, 0.137)):
+        half_bands, full_bands = half.window_bands(rho), full.window_bands(rho)
+        assert np.array_equal(half_bands.min(axis=0), full_bands.min(axis=0))
+        assert np.array_equal(half_bands.max(axis=0), full_bands.max(axis=0))
 
 
 def test_gap_widths_cell_count_independent(omega0):

@@ -1010,6 +1010,20 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     assert cli_io._build_parser() is cli_io._build_parser()
 
 
+def test_package_runs_as_a_module(tmp_path):
+    # python -m bilattice runs the CLI from a checkout and passes its exit code on
+    src = Path(cli_io.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "fig2b.csv"
+    for config, code in (("fig2b", 0), ("no_such_config", 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilattice", "scan", "--config", config, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+    assert out.read_text().startswith("rho_over_a,gap_count,")
+
+
 def test_cli_accepts_bundled_name(tmp_path):
     # fig2a is the cheapest bundled run at reduced size; use it as-is but
     # through the scan subcommand with JSON to stdout suppressed to a file

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,25 +192,26 @@ def test_gaps_engine_numeric_matches_analytic_columns(omega0):
             assert num == pytest.approx(ana, abs=0.5)   # cover_tol-limited edges
 
 
+def fig4_gap_scan(rho_values):
+    text = bundled_config_text("fig4").replace(
+        "rho_min = 0 a\nrho_max = 1 a\nrho_points = 51", f"rho_values = {rho_values} a"
+    )
+    return run_sweep(parse_config(text).sweep)
+
+
 def test_failed_gap_rho_keeps_its_nan_row_in_place(monkeypatch):
     # the gap scan is one cell; a rho whose scan fails stays alone, as a NaN
     # row where it stands and one error entry
-    def scan(rho_values):
-        text = bundled_config_text("fig4").replace(
-            "rho_min = 0 a\nrho_max = 1 a\nrho_points = 51", f"rho_values = {rho_values} a"
-        )
-        return run_sweep(parse_config(text).sweep)
+    clean = fig4_gap_scan("0.2, 0.4")
+    original = bandstructure.GapScan.entry
 
-    clean = scan("0.2, 0.4")
-    original = bandstructure.gap_widths_vs_rho
-
-    def failing_at_middle_rho(cfg, rho_values, **kw):
-        if rho_values[0] == pytest.approx(0.3 * cfg.cell_size):
+    def failing_at_middle_rho(scan, rho):
+        if rho == pytest.approx(0.3 * scan.cfg.cell_size):
             raise RuntimeError("injected")
-        return original(cfg, rho_values, **kw)
+        return original(scan, rho)
 
-    monkeypatch.setattr(bandstructure, "gap_widths_vs_rho", failing_at_middle_rho)
-    table = scan("0.2, 0.3, 0.4")
+    monkeypatch.setattr(bandstructure.GapScan, "entry", failing_at_middle_rho)
+    table = fig4_gap_scan("0.2, 0.3, 0.4")
     assert len(table.cells) == 1
     rows, clean_rows = np.array(table.rows), np.array(clean.rows)
     assert np.array_equal(rows[[0, 2]], clean_rows, equal_nan=True)
@@ -218,6 +220,46 @@ def test_failed_gap_rho_keeps_its_nan_row_in_place(monkeypatch):
     assert table.errors == [
         {"rho": table.meta["rho_values"][1], "error": "RuntimeError: injected"}
     ]
+
+
+def test_runtime_warning_in_a_cell_becomes_its_error_entry(monkeypatch):
+    # under the default warning filters, as a CLI run has them, a numeric
+    # warning inside a cell makes that cell a NaN row and one error entry
+    clean = fig4_gap_scan("0.2, 0.4")
+    original = bandstructure.GapScan.entry
+
+    def warning_at_middle_rho(scan, rho):
+        if rho == pytest.approx(0.3 * scan.cfg.cell_size):
+            np.log(np.zeros(1))
+        return original(scan, rho)
+
+    monkeypatch.setattr(bandstructure.GapScan, "entry", warning_at_middle_rho)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        table = fig4_gap_scan("0.2, 0.3, 0.4")
+    assert not caught
+    rows, clean_rows = np.array(table.rows), np.array(clean.rows)
+    assert np.array_equal(rows[[0, 2]], clean_rows, equal_nan=True)
+    assert np.isnan(rows[1, 1:]).all()
+    assert table.errors == [{
+        "rho": table.meta["rho_values"][1],
+        "error": "RuntimeWarning: divide by zero encountered in log",
+    }]
+
+
+def test_gap_table_builds_one_plan(monkeypatch):
+    # the rho-independent plan is built once per table, not once per rho
+    built = []
+    init = bandstructure.GapScan.__init__
+
+    def counting_init(scan, *args, **kw):
+        built.append(scan)
+        init(scan, *args, **kw)
+
+    monkeypatch.setattr(bandstructure.GapScan, "__init__", counting_init)
+    table = fig4_gap_scan("0.1, 0.2, 0.3")
+    assert len(table.rows) == 3 and not table.errors
+    assert len(built) == 1
 
 
 def test_failed_bands_rho_keeps_its_nan_row_in_place(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bilattice.cli_io import bundled_config_text, parse_config
 from bilattice.constants import C, TWO_PI
 from bilattice.core import xi_parameter
 from bilattice.transfer_matrix import (
@@ -256,6 +257,22 @@ def test_closed_form_against_matrix_power(omega0):
         if abs(r_ref) > 1e-12:
             worst = max(worst, abs(r - r_ref) / abs(r_ref))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("name", ["fig6", "fig7", "fig8"])
+def test_scalar_closed_form_is_the_table_value(name):
+    # the scalar API returns the t the spectrum table is printed from, bit
+    # for bit, and so its |t|^2 is the table's T
+    spec = parse_config(bundled_config_text(name)).sweep
+    grid = np.asarray(spec.probe_grid)
+    rng = np.random.default_rng(17)
+    for rho in spec.resolved_rhos():
+        cfg = spec.lattice.replace(intracell_distance=float(rho))
+        n = cfg.cell_count
+        _, t_grid = stack_coefficients(dimer_matrix(cfg, grid), n)
+        assert np.array_equal(np.abs(t_grid) ** 2, spectrum_scan(cfg, grid).transmitted)
+        for i in rng.choice(grid.size, 70, replace=False):
+            assert transmission_closed_form(cfg, float(grid[i]), n) == complex(t_grid[i])
 
 
 def test_deep_gap_attenuation_at_million_planes(probe_lattice):
