@@ -12,7 +12,7 @@ Three engines over a shared core:
 :mod:`bilattice.sweep` drives parameter grids deterministically,
 :mod:`bilattice.tableio` writes their tables as CSV or JSON, and
 :mod:`bilattice.cli_io` maps config files and tables onto them
-(`python -m bilattice.cli_io` or the ``bilattice`` script).
+(``python -m bilattice`` or the ``bilattice`` script).
 
 ``import bilattice`` imports none of these modules.  Each public name below
 is looked up in its module on first use (PEP 562), so a program that uses

@@ -15,17 +15,12 @@ physical quantity carries an explicit unit suffix:
 * quasi-momenta: ``G0`` (multiples of the reciprocal vector) or ``rad/m``.
 
 ``*_values`` keys accept comma-separated lists sharing one trailing unit.
-Every number must be finite.  A config holds only the keys its engine reads:
-an unknown key is rejected before any value is read, and a known key that
-the engine does not read is rejected after parsing.  Every rho lies in
-[0, a], and q_max in (0, G0/2]; rates, lengths, densities, occupancy and
-finesse are positive.  Values outside what an engine computes are rejected
-as well: every probe frequency lies below twice the line it detunes from
-(a point at or below 0 stays a NaN row with an error entry),
-|cavity_detuning| < omega_0, the gap window lies in (0, n_bz omega_0], and
-the cavity's density, squared single-atom coupling g^2 and collective rate
-M n-bar g^2 are finite.  An error names its key and line where one key is at
-fault.  The reference chain: the named species fixes
+Every number must be finite.  ``_KEYS`` gives each key's unit kind and the
+rule its value alone must meet; ``_parse`` checks the rules that tie keys
+together.  A config holds only the keys its engine reads: an unknown key is
+rejected before any value is read, and a known key that the engine does not
+read is rejected after parsing.  An error names its key and line where one
+key is at fault.  The reference chain: the named species fixes
 (omega_atom, gamma); the lattice light sits at omega_0 = omega_atom +
 lattice_detuning x gamma; the cell size is a = 2 pi c / omega_0; both
 lattice species are placed relative to omega_0 via omega_even / omega_odd.
@@ -63,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import C, DEFAULT_N_BZ, TWO_PI
+from .constants import C, TWO_PI
 from .core import AtomSpecies, LatticeConfig, cavity_coupling
 from .sweep import ENGINES, SweepSpec, Table, run_sweep
 from .tableio import write_table
@@ -80,11 +75,61 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # low-level parsing
 
-_RATE_UNITS = {"rad/s": 1.0, "Hz": TWO_PI, "kHz": TWO_PI * 1e3,
-               "MHz": TWO_PI * 1e6, "GHz": TWO_PI * 1e9}
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
-_AREAL_UNITS = {"m^-2": 1.0, "um^-2": 1e12}
-_ANGLE_UNITS = {"rad": 1.0, "pi": math.pi, "deg": math.pi / 180.0}
+# the units of each unit kind, in SI; _parse adds gamma to the detunings,
+# a and lambda to the lengths, and the quasi-momenta once it knows them
+_UNITS = {
+    "rate": {"rad/s": 1.0, "Hz": TWO_PI, "kHz": TWO_PI * 1e3,
+             "MHz": TWO_PI * 1e6, "GHz": TWO_PI * 1e9},
+    "length": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
+    "areal density": {"m^-2": 1.0, "um^-2": 1e12},
+    "angle": {"rad": 1.0, "pi": math.pi, "deg": math.pi / 180.0},
+}
+
+# every key any engine reads: its unit kind, and the rule its value alone
+# must meet.  A rule is "positive", ">= N", "in cell" (0 <= rho <= a) or
+# "half zone" (0 < q <= G0/2).  Which keys a config may hold is decided by
+# what _parse reads for its engine (the ``used`` marks); rules that tie keys
+# together are checked there.
+_KEYS = {
+    "engine": ("token", None),
+    "species": ("token", None),
+    "wavelength": ("length", "positive"),
+    "linewidth": ("rate", "positive"),
+    "lattice_detuning": ("detuning", None),
+    "omega_even": ("detuning", None),
+    "omega_odd": ("detuning", None),
+    "gamma_even": ("rate", "positive"),
+    "gamma_odd": ("rate", "positive"),
+    "rho": ("length", "in cell"),
+    "rho_values": ("length", "in cell"),
+    "rho_min": ("length", "in cell"),
+    "rho_max": ("length", "in cell"),
+    "rho_points": ("count", ">= 1"),
+    "cells": ("count", ">= 1"),
+    "planes": ("count", ">= 2"),
+    "areal_density": ("areal density", "positive"),
+    "waist": ("length", "positive"),
+    "n_bz": ("count", ">= 1"),
+    "n_q": ("count", ">= 3"),
+    "q_max": ("quasi-momentum", "half zone"),
+    "window_min": ("detuning", None),
+    "window_max": ("detuning", None),
+    "cover_tol": ("detuning", ">= 0"),
+    "min_band_width": ("detuning", ">= 0"),
+    "probe_min": ("detuning", None),
+    "probe_max": ("detuning", None),
+    "probe_points": ("count", ">= 2"),
+    "cavity_length": ("length", "positive"),
+    "kappa": ("rate", "positive"),
+    "finesse": ("number", "positive"),
+    "cavity_waist": ("length", "positive"),
+    "occupancy": ("number", "positive"),
+    "pump": ("rate", "positive"),
+    "phase": ("angle", None),
+    "phase_values": ("angle", None),
+    "commensurate": ("boolean", None),
+    "cavity_detuning": ("detuning", None),
+}
 
 
 def _tokenize(text: str):
@@ -102,19 +147,6 @@ def _tokenize(text: str):
         yield lineno, key, value
 
 
-def _split_unit(value: str) -> tuple[list[str], str | None]:
-    """Split '0, 0.2, 0.4 a' into (['0', '0.2', '0.4 a'...]) -> numbers/unit."""
-    parts = [p.strip() for p in value.split(",")]
-    tail = parts[-1].split()
-    unit = None
-    if len(tail) == 2:
-        parts[-1] = tail[0]
-        unit = tail[1]
-    elif len(tail) != 1:
-        raise ConfigError(f"cannot parse quantity {value!r}")
-    return parts, unit
-
-
 class _Entry:
     def __init__(self, lineno: int, key: str, value: str):
         self.lineno = lineno
@@ -126,14 +158,20 @@ class _Entry:
         raise ConfigError(f"line {self.lineno}: key {self.key!r}: {message}")
 
     def floats(self, unit_map: dict[str, float] | None, kind: str) -> list[float]:
-        parts, unit = _split_unit(self.value)
+        """'0, 0.2, 0.4 a' as numbers in SI: one trailing unit for them all."""
+        parts = self.value.split(",")
+        tail = parts[-1].split()
+        if len(tail) not in (1, 2):
+            self.fail(f"cannot parse quantity {self.value!r}")
+        parts[-1] = tail[0]
+        unit = tail[1] if len(tail) == 2 else None
         try:
             numbers = [float(p) for p in parts]
         except ValueError:
             self.fail(f"expected number(s), got {self.value!r}")
-        if unit_map is None:
+        if unit_map is None:   # a count or a plain number
             if unit is not None:
-                self.fail(f"{kind} takes no unit, got {unit!r}")
+                self.fail(f"count takes no unit, got {unit!r}")
         elif unit is None:
             self.fail(f"missing {kind} unit (one of {', '.join(unit_map)})")
         elif unit not in unit_map:
@@ -144,17 +182,39 @@ class _Entry:
             self.fail(f"expected finite number(s), got {self.value!r}")
         return numbers
 
-    def scalar(self, unit_map, kind) -> float:
-        values = self.floats(unit_map, kind)
-        if len(values) != 1:
+    def read(self, units: dict[str, dict[str, float]]):
+        """This entry's value, of its key's kind and meeting its key's rule
+        (``_KEYS``), with ``units`` the unit map of each kind."""
+        kind, rule = _KEYS[self.key]
+        if kind == "token":
+            return self.value
+        if kind == "boolean":
+            low = self.value.lower()
+            if low not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+                self.fail(f"expected a boolean, got {self.value!r}")
+            return low in ("true", "yes", "on", "1")
+        values = self.floats(units.get(kind), kind)
+        many = self.key.endswith("_values")
+        if not many and len(values) != 1:
             self.fail("expected a single value, got a list")
-        return values[0]
-
-    def positive(self, unit_map, kind) -> float:
-        value = self.scalar(unit_map, kind)
-        if value <= 0:
-            self.fail("must be positive")
-        return value
+        if kind == "count" and values[0] != int(values[0]):
+            self.fail(f"expected an integer, got {self.value!r}")
+        ok, message = True, f"must be {rule}"   # "positive" and ">= N" say so
+        if rule == "positive":
+            ok = min(values) > 0
+        elif rule == "in cell":
+            ok = 0.0 <= min(values) and max(values) <= units["length"]["a"]
+            message = "must satisfy 0 <= rho <= a"
+        elif rule == "half zone":
+            ok = 0 < values[0] <= units["quasi-momentum"]["G0"] / 2
+            message = "must lie in (0, G0/2]"
+        elif rule is not None:
+            ok = min(values) >= float(rule.removeprefix(">= "))
+        if not ok:
+            self.fail(message)
+        if many:
+            return np.array(values)
+        return int(values[0]) if kind == "count" else values[0]
 
     @contextlib.contextmanager
     def blamed(self):
@@ -169,38 +229,6 @@ class _Entry:
         if not math.isfinite(value):
             self.fail(f"gives {what} = {value}; it must be finite")
         return value
-
-    def integer(self, least: int | None = None) -> int:
-        value = self.scalar(None, "count")
-        if value != int(value):
-            self.fail(f"expected an integer, got {self.value!r}")
-        if least is not None and value < least:
-            self.fail(f"must be >= {least}")
-        return int(value)
-
-    def boolean(self) -> bool:
-        low = self.value.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self.fail(f"expected a boolean, got {self.value!r}")
-
-    def token(self) -> str:
-        return self.value
-
-
-# every key any engine reads; which of them a config may hold is decided by
-# what parse_config takes for its engine (the ``used`` marks)
-_KEYS = frozenset({
-    "engine", "species", "wavelength", "linewidth", "lattice_detuning",
-    "omega_even", "omega_odd", "gamma_even", "gamma_odd", "rho", "rho_values",
-    "rho_min", "rho_max", "rho_points", "cells", "planes", "areal_density",
-    "waist", "n_bz", "n_q", "q_max", "window_min", "window_max", "cover_tol",
-    "min_band_width", "probe_min", "probe_max", "probe_points", "cavity_length",
-    "kappa", "finesse", "cavity_waist", "occupancy", "pump", "phase",
-    "phase_values", "commensurate", "cavity_detuning",
-})
 
 
 @dataclass(frozen=True)
@@ -229,107 +257,81 @@ def _parse(text: str) -> RunConfig:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = _Entry(lineno, key, value)
-
-    def take(key: str) -> _Entry | None:
-        entry = entries.get(key)
-        if entry is not None:
-            entry.used = True
-        return entry
-
-    def require(key: str) -> _Entry:
-        entry = take(key)
-        if entry is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return entry
-
     unknown = [k for k in entries if k not in _KEYS]
     if unknown:   # a typo is reported before any value is read
         raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    engine = require("engine").token()
+    units = dict(_UNITS)
+
+    def get(key: str, default=...):
+        """The value of ``key`` (see ``_Entry.read``), or ``default`` if the
+        config does not give it; a key without a default is required."""
+        entry = entries.get(key)
+        if entry is None:
+            if default is ...:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        entry.used = True
+        return entry.read(units)
+
+    engine = get("engine")
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
 
     # --- species and reference frequencies ---
-    species_entry = require("species")
-    if species_entry.token() == "custom":
-        wavelength_entry = require("wavelength")
-        wavelength = wavelength_entry.positive(_LENGTH_UNITS, "length")
-        gamma = require("linewidth").positive(_RATE_UNITS, "rate")
-        with wavelength_entry.blamed():
+    species = get("species")
+    if species == "custom":
+        wavelength, gamma = get("wavelength"), get("linewidth")
+        with entries["wavelength"].blamed():
             base = AtomSpecies.from_wavelength(wavelength, gamma)
     else:
         try:
-            base = AtomSpecies.named(species_entry.token())
+            base = AtomSpecies.named(species)
         except KeyError as exc:
-            species_entry.fail(exc.args[0])
+            entries["species"].fail(exc.args[0])
     gamma_ref = base.linewidth
-    lattice_entry = require("lattice_detuning")
-    omega0 = base.transition_frequency + lattice_entry.scalar({"gamma": gamma_ref}, "detuning")
+    units["detuning"] = {"gamma": gamma_ref}
+    omega0 = base.transition_frequency + get("lattice_detuning")
     if omega0 <= 0:
-        lattice_entry.fail(
+        entries["lattice_detuning"].fail(
             f"puts the lattice light at omega_0 = {omega0:.6g} rad/s; it must be positive"
         )
     cell_size = TWO_PI * C / omega0
+    units["length"] = {**units["length"], "a": cell_size, "lambda": cell_size}
+    units["quasi-momentum"] = {"G0": TWO_PI / cell_size, "rad/m": 1.0}
 
     def species_at(offset_key: str, gamma_key: str) -> AtomSpecies:
-        offset_entry = require(offset_key)
-        omega = omega0 + offset_entry.scalar({"gamma": gamma_ref}, "detuning")
-        entry = take(gamma_key)
-        gamma_j = entry.positive(_RATE_UNITS, "rate") if entry else gamma_ref
-        with offset_entry.blamed():
+        omega = omega0 + get(offset_key)
+        gamma_j = get(gamma_key, gamma_ref)
+        with entries[offset_key].blamed():
             return AtomSpecies.from_frequency(omega, gamma_j)
 
     species_even = species_at("omega_even", "gamma_even")
     species_odd = species_at("omega_odd", "gamma_odd")
 
-    length_units = dict(_LENGTH_UNITS, a=cell_size)
-    length_units["lambda"] = cell_size
-
     # --- geometry ---
-    def rhos(entry: _Entry, single: bool = False) -> list[float]:
-        """The entry's lengths, each of which must lie in the cell."""
-        if single:
-            values = [entry.scalar(length_units, "length")]
-        else:
-            values = entry.floats(length_units, "length")
-        if not all(0.0 <= v <= cell_size for v in values):
-            entry.fail("must satisfy 0 <= rho <= a")
-        return values
-
-    rho_entry, rho_values_entry = take("rho"), take("rho_values")
-    range_entries = tuple(take(k) for k in ("rho_min", "rho_max", "rho_points"))
-    if any(range_entries) and not all(range_entries):
+    ranged = [k for k in ("rho_min", "rho_max", "rho_points") if k in entries]
+    if 0 < len(ranged) < 3:
         raise ConfigError("give all three of rho_min/rho_max/rho_points or none")
-    if sum(x is not None for x in (rho_entry, rho_values_entry, range_entries[0])) > 1:
+    if sum(k in entries for k in ("rho", "rho_values", "rho_min")) > 1:
         raise ConfigError("give only one of rho, rho_values, rho_min/rho_max/rho_points")
-    rho_values = None
-    if rho_values_entry is not None:
-        rho_values = np.array(rhos(rho_values_entry))
-    elif range_entries[0] is not None:
-        rho_min, rho_max, rho_points = range_entries
-        rho_values = np.linspace(
-            *rhos(rho_min, single=True), *rhos(rho_max, single=True),
-            rho_points.integer(least=1),
-        )
-    if rho_entry is None and rho_values is None:
+    rho_values = get("rho_values", None)
+    if ranged:
+        rho_values = np.linspace(get("rho_min"), get("rho_max"), get("rho_points"))
+    if rho_values is None and "rho" not in entries:
         raise ConfigError("missing required key 'rho' (or 'rho_values', or a rho range)")
-    rho = rhos(rho_entry, single=True)[0] if rho_entry else float(rho_values[0])
+    rho = get("rho") if rho_values is None else float(rho_values[0])
 
-    cells_entry, planes_entry = take("cells"), take("planes")
-    if cells_entry is not None and planes_entry is not None:
+    if "cells" in entries and "planes" in entries:
         raise ConfigError("give exactly one of 'cells' and 'planes'")
-    count_entry = cells_entry or planes_entry
-    if cells_entry is not None:
-        cell_count = cells_entry.integer(least=1)
-    elif planes_entry is not None:
-        planes = planes_entry.integer(least=2)
-        if planes % 2:
-            planes_entry.fail("must be even (two planes per cell)")
-        cell_count = planes // 2
-    elif engine in ("bands", "gaps"):
+    cell_count = get("cells", None)
+    if "planes" in entries:
+        cell_count, odd = divmod(get("planes"), 2)
+        if odd:
+            entries["planes"].fail("must be even (two planes per cell)")
+    elif cell_count is None:
+        if engine not in ("bands", "gaps"):
+            raise ConfigError("missing required key 'cells' (or 'planes')")
         cell_count = 100   # spectra are M-independent; any positive M works
-    else:
-        raise ConfigError("missing required key 'cells' (or 'planes')")
 
     spec_kwargs = dict(
         engine=engine,
@@ -339,52 +341,39 @@ def _parse(text: str) -> RunConfig:
     )
 
     if engine in ("transmit", "cavity"):
-        gamma_units = {"gamma": gamma_ref}
-        pmin = require("probe_min").scalar(gamma_units, "detuning")
-        pmax_entry = require("probe_max")
-        pmax = pmax_entry.scalar(gamma_units, "detuning")
+        pmin, pmax = get("probe_min"), get("probe_max")
         if pmax <= pmin:
-            pmax_entry.fail("must exceed probe_min")
-        npts = require("probe_points").integer(least=2)
+            entries["probe_max"].fail("must exceed probe_min")
+        npts = get("probe_points")
         # transmit detunes against the even-species transition (paper-figure
         # axis); the cavity engine against the lattice reference omega_0
         anchor = species_even.transition_frequency if engine == "transmit" else omega0
         if not pmax < anchor:
-            pmax_entry.fail(f"must keep every probe frequency below {2 * anchor:.6g} rad/s "
-                            "(twice the line it detunes from)")
+            entries["probe_max"].fail(f"must keep every probe frequency below "
+                                      f"{2 * anchor:.6g} rad/s (twice the line it detunes from)")
         spec_kwargs["probe_grid"] = anchor + np.linspace(pmin, pmax, npts)
 
     if engine == "cavity":
         from .cavity import CavityConfig
-        det_entry = take("cavity_detuning")
-        cavity_det = det_entry.scalar({"gamma": gamma_ref}, "detuning") if det_entry else 0.0
+        cavity_det = get("cavity_detuning", 0.0)
         if not abs(cavity_det) < omega0:
-            det_entry.fail(f"must satisfy |cavity_detuning| < omega_0 = {omega0:.6g} rad/s")
-        phase_entry, phases_entry = take("phase"), take("phase_values")
-        if (phase_entry is None) == (phases_entry is None):
+            entries["cavity_detuning"].fail(
+                f"must satisfy |cavity_detuning| < omega_0 = {omega0:.6g} rad/s")
+        if ("phase" in entries) == ("phase_values" in entries):
             raise ConfigError("give exactly one of 'phase' and 'phase_values'")
-        phi_values = None
-        if phases_entry is not None:
-            phi_values = np.array(phases_entry.floats(_ANGLE_UNITS, "angle"))
-        phase = phase_entry.scalar(_ANGLE_UNITS, "angle") if phase_entry else float(phi_values[0])
-        finesse_entry = take("finesse")
-        occupancy_entry = take("occupancy")
-        pump_entry = take("pump")
-        commensurate_entry = take("commensurate")
-        density_entry = require("cavity_waist")
-        length_entry = require("cavity_length")
+        phi_values = get("phase_values", None)
         cavity = CavityConfig(
             mode_frequency=omega0 + cavity_det,
-            linewidth=require("kappa").positive(_RATE_UNITS, "rate"),
-            length=length_entry.positive(length_units, "length"),
-            waist=density_entry.positive(length_units, "length"),
-            phase=phase,
+            linewidth=get("kappa"),
+            length=get("cavity_length"),
+            waist=get("cavity_waist"),
+            phase=get("phase") if phi_values is None else float(phi_values[0]),
             # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
-            pump=pump_entry.positive(_RATE_UNITS, "rate") if pump_entry else 1.0,
+            pump=get("pump", 1.0),
             plane_count=2 * cell_count,
-            commensurate=commensurate_entry.boolean() if commensurate_entry else True,
-            occupancy=occupancy_entry.positive(None, "count") if occupancy_entry else 1.0,
-            finesse=finesse_entry.positive(None, "count") if finesse_entry else None,
+            commensurate=get("commensurate", True),
+            occupancy=get("occupancy", 1.0),
+            finesse=get("finesse", None),
         )
         spec_kwargs["cavity"] = cavity
         spec_kwargs["phi_values"] = phi_values
@@ -394,23 +383,22 @@ def _parse(text: str) -> RunConfig:
         # the density the cavity coupling implies: n-bar atoms per site over
         # the mode area pi w_c^2 / 4; the waist is at fault if one atom per
         # mode area is not finite, else the occupancy
+        density_entry = entries["cavity_waist"]
         with density_entry.blamed():
             mode_area = math.pi * cavity.waist**2 / 4.0
             density_entry.finite(1.0 / mode_area, "one atom per mode area")
-        density_entry = occupancy_entry or density_entry
+        density_entry = entries.get("occupancy") or density_entry
         areal_density = cavity.occupancy / mode_area
     else:
-        areal_entry, waist_entry = take("areal_density"), take("waist")
-        if (areal_entry is None) == (waist_entry is None):
+        if ("areal_density" in entries) == ("waist" in entries):
             raise ConfigError(
                 f"give exactly one of 'areal_density' and 'waist' for engine {engine!r}"
             )
-        density_entry = areal_entry or waist_entry
-        if areal_entry is not None:
-            areal_density = areal_entry.positive(_AREAL_UNITS, "areal density")
-        else:
-            waist = waist_entry.positive(length_units, "length")
-            with waist_entry.blamed():
+        density_entry = entries.get("areal_density") or entries["waist"]
+        areal_density = get("areal_density", None)
+        if areal_density is None:
+            waist = get("waist")
+            with density_entry.blamed():
                 # one atom per site over the mode area pi w^2 / 4
                 areal_density = 4.0 / (math.pi * waist**2)
 
@@ -428,48 +416,32 @@ def _parse(text: str) -> RunConfig:
     if engine == "cavity":
         # every intensity takes each species' collective rate M n-bar g^2
         g = max(cavity_coupling(sp, cavity) for sp in (species_even, species_odd))
-        length_entry.finite(g * g, "a squared single-atom coupling g^2")
-        (occupancy_entry or count_entry).finite(
+        entries["cavity_length"].finite(g * g, "a squared single-atom coupling g^2")
+        (entries.get("occupancy") or entries.get("cells") or entries["planes"]).finite(
             cavity.cell_count * cavity.occupancy * g * g, "a collective rate M n g^2"
         )
 
     if engine in ("bands", "gaps"):
-        for key, least in (("n_bz", 1), ("n_q", 3)):
-            entry = take(key)
-            if entry is not None:
-                spec_kwargs[key] = entry.integer(least)
+        n_bz = get("n_bz", SweepSpec.n_bz)
+        spec_kwargs.update(n_bz=n_bz, n_q=get("n_q", SweepSpec.n_q))
         if engine == "bands":
-            entry = take("q_max")
-            if entry is not None:
-                g0 = lattice.reciprocal_vector
-                q_max = entry.scalar({"G0": g0, "rad/m": 1.0}, "quasi-momentum")
-                if not 0 < q_max <= g0 / 2:
-                    entry.fail("must lie in (0, G0/2]")
-                spec_kwargs["q_max"] = q_max
+            spec_kwargs["q_max"] = get("q_max", None)
         else:
-            gamma_units = {"gamma": gamma_ref}
-            wmin, wmax = take("window_min"), take("window_max")
-            if (wmin is None) != (wmax is None):
+            if ("window_min" in entries) != ("window_max" in entries):
                 raise ConfigError("give both or neither of window_min/window_max")
-            if wmin is not None:
-                low = wmin.scalar(gamma_units, "detuning")
-                high = wmax.scalar(gamma_units, "detuning")
+            if "window_min" in entries:
+                low, high = get("window_min"), get("window_max")
                 if high <= low:
-                    wmax.fail("must exceed window_min")
+                    entries["window_max"].fail("must exceed window_min")
                 # the photon basis holds modes up to about (n_bz + 1/2) omega_0
                 if not omega0 + low > 0:
-                    wmin.fail("must put the window above 0 rad/s")
-                top = spec_kwargs.get("n_bz", DEFAULT_N_BZ) * omega0
-                if not omega0 + high <= top:
-                    wmax.fail(f"must keep the window at or below n_bz omega_0 = {top:.6g} rad/s")
+                    entries["window_min"].fail("must put the window above 0 rad/s")
+                if not omega0 + high <= n_bz * omega0:
+                    entries["window_max"].fail("must keep the window at or below "
+                                               f"n_bz omega_0 = {n_bz * omega0:.6g} rad/s")
                 spec_kwargs["window"] = (omega0 + low, omega0 + high)
-            for key in ("cover_tol", "min_band_width"):
-                entry = take(key)
-                if entry is not None:
-                    value = entry.scalar(gamma_units, "detuning")
-                    if value < 0:
-                        entry.fail("must be >= 0")
-                    spec_kwargs[key] = value
+            spec_kwargs.update(cover_tol=get("cover_tol", SweepSpec.cover_tol),
+                               min_band_width=get("min_band_width", SweepSpec.min_band_width))
 
     unused = [e.key for e in entries.values() if not e.used]
     if unused:
@@ -517,7 +489,10 @@ def bundled_config_text(name: str) -> str:
 def _load_config(arg: str) -> str:
     path = Path(arg)
     if path.exists():
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {arg!r}: {exc}") from None
     if arg.replace(".cfg", "") in BUNDLED_CONFIGS:
         return bundled_config_text(arg)
     raise ConfigError(f"config file {arg!r} not found")

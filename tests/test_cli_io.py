@@ -130,6 +130,19 @@ def test_every_bundled_config_parses():
         assert cfg.sweep.engine in ("bands", "gaps", "transmit", "cavity")
 
 
+def test_readme_key_table_is_the_parser_table():
+    # README "Config files": one row per key, | `key` | unit kind | rule |
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | unit kind | rule |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    table = [(key.strip("`"), (kind, rule.strip("`") or None)) for key, kind, rule in rows]
+    assert table == list(cli_io._KEYS.items())
+
+
 def test_bundled_fig6_reproduces_published_setup():
     cfg = parse_config(bundled_config_text("fig6"))
     lat = cfg.sweep.lattice
@@ -726,6 +739,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("cavity", bundled_config_text("fig9").replace("0, 0.2, 0.4 a", "0, 0.2, -0.4 a"),
          "line 8: key 'rho_values'"),
         ("transmit", MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 1.5 a"), "line 6: key 'rho'"),
+        # a malformed quantity; this error named no key or line
+        ("transmit", MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 0 a b"), "line 6: key 'rho'"),
         # finite values whose arithmetic overflows or divides by zero; these
         # ended in a traceback (omega^3 of the dipole, 4 / (pi w^2))
         ("gaps", bundled_config_text("fig4").replace("omega_odd = 530 gamma",
@@ -874,7 +889,7 @@ def fuzz_base(name: str) -> list[str]:
 
 FUZZ_CONFIGS = {name: fuzz_base(name) for name in BUNDLED_CONFIGS}
 FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "2", "3", "64", "0.5"]
-COUNT_KEYS = {"rho_points", "cells", "planes", "probe_points", "n_bz", "n_q"}
+COUNT_KEYS = {key for key, (kind, _) in cli_io._KEYS.items() if kind == "count"}
 
 
 @st.composite
@@ -899,22 +914,35 @@ def one_key_edits(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def is_engine_value(column: str) -> bool:
+    # the gap edge columns are NaN where a row has fewer gaps than columns
+    return column in ("T", "R", "A") or column.startswith(("intensity_", "gap_count", "band_"))
+
+
 @pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
 @settings(max_examples=300, deadline=None)
 @given(text=one_key_edits())
 def test_config_fuzz_exits_with_a_code(tmp_path_factory, text):
     here = tmp_path_factory.getbasetemp()
     cfg, out = here / "fuzz.cfg", here / "fuzz.csv"
+    log = here / "fuzz.csv.errors.log"
     cfg.write_text(text)
     out.unlink(missing_ok=True)
+    log.unlink(missing_ok=True)
     code = main(["scan", "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2)
     assert code != 1 or not out.exists()
+    if code == 0:
+        # a non-finite engine value is a failed cell, which has its error entry
+        table = read_table(out)
+        engine = [j for j, c in enumerate(table.columns) if is_engine_value(c)]
+        assert np.isfinite(np.array(table.rows)[:, engine]).all() or log.exists()
 
 
 def one_value_edits():
-    """(label, text) of every cut bundled config with one assignment's number
-    replaced by each of FUZZ_VALUES, its unit kept (counts never 1e300/inf)."""
+    """(label, key, number, unit, text) of every cut bundled config with one
+    assignment's number replaced by each of FUZZ_VALUES, its unit kept
+    (counts never 1e300/inf)."""
     for name, lines in FUZZ_CONFIGS.items():
         for i, line in enumerate(lines):
             key, value = (part.strip() for part in line.split("=", 1))
@@ -924,39 +952,68 @@ def one_value_edits():
                 if key in COUNT_KEYS and number in ("1e300", "inf"):
                     continue
                 edited = f"{key} = {number}{unit}"
-                yield f"{name}: {edited}", "\n".join([*lines[:i], edited, *lines[i + 1:]]) + "\n"
+                text = "\n".join([*lines[:i], edited, *lines[i + 1:]]) + "\n"
+                yield f"{name}: {edited}", key, number, unit, text
 
 
-def is_engine_value(column: str) -> bool:
-    # the gap edge columns are NaN where a row has fewer gaps than columns
-    return column in ("T", "R", "A") or column.startswith(("intensity_", "gap_count", "band_"))
+def breaks_rule(key: str, number: str, unit: str) -> bool:
+    """Whether ``number``, finite and given in ``unit``, breaks the rule of
+    ``key`` in ``cli_io._KEYS`` (the bundled configs give rho in a and q in G0)."""
+    x, rule = float(number), cli_io._KEYS[key][1]
+    if rule == "in cell":
+        assert unit == " a"
+        return not 0 <= x <= 1
+    if rule == "half zone":
+        assert unit == " G0"
+        return not 0 < x <= 0.5
+    if rule == "positive":   # every unit is a positive factor
+        return not x > 0
+    return rule is not None and x < float(rule.removeprefix(">= "))
 
 
 @pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
 def test_every_one_value_edit_writes_finite_engine_values(tmp_path, capsys):
     # an accepted value must not end in a table of NaN or infinite engine
-    # values with exit 0: a value outside an engine's range exits 1 instead
+    # values with exit 0: a value outside an engine's range exits 1 instead,
+    # and so does a value that breaks its key's rule, naming the key
     cfg, out = tmp_path / "edit.cfg", tmp_path / "edit.csv"
-    runs, silent = 0, []
-    for label, text in one_value_edits():
+    runs, silent, broken = 0, [], 0
+    for label, key, number, unit, text in one_value_edits():
         cfg.write_text(text)
         out.unlink(missing_ok=True)
         code = main(["scan", "--config", str(cfg), "--out", str(out)])
         assert code in (0, 1, 2), label
         runs += 1
+        err = capsys.readouterr().err
+        if math.isfinite(float(number)) and breaks_rule(key, number, unit):
+            broken += 1
+            assert code == 1 and f"key {key!r}" in err, label
         if code == 0:
             table = read_table(out)
             engine = [j for j, c in enumerate(table.columns) if is_engine_value(c)]
             if not np.isfinite(np.array(table.rows)[:, engine]).all():
                 silent.append(label)
-    capsys.readouterr()
     assert runs == 1118
+    assert broken == 188
     assert silent == []
 
 
 def test_cli_missing_config_file(capsys):
     assert run_cli(["transmit", "--config", "/nonexistent.cfg"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_cli_unreadable_config_file(tmp_path, capsys, kind):
+    # these ended in an IsADirectoryError or UnicodeDecodeError traceback
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"engine = transmit\nspecies = \xff\xfe\n")
+    assert run_cli(["scan", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err and "Traceback" not in err
 
 
 def test_cli_unwritable_output_is_numeric_failure_code(tmp_path, capsys):
