@@ -239,31 +239,9 @@ def analytic_band_edges(cfg: LatticeConfig) -> tuple[float, float, float, float]
     mean = 0.5 * (omega_q + w1)
     quarter = (0.5 * (omega_q - w1)) ** 2
     inner = math.sqrt(max(0.0, 1.0 - u * u * s * s))
-    nu = {}
-    for j in (1, 2):
-        half = math.sqrt(quarter + g_sq * (1.0 - (-1.0) ** j * inner))
-        nu[(j, -1)] = mean - half
-        nu[(j, +1)] = mean + half
-    return nu[(1, -1)], nu[(2, -1)], nu[(2, +1)], nu[(1, +1)]
-
-
-def _covered_intervals(bs: BandStructure, window, cover_tol):
-    lo, hi = window
-    intervals = []
-    for b in range(bs.band_count):
-        bmin = float(bs.bands[:, b].min()) - cover_tol
-        bmax = float(bs.bands[:, b].max()) + cover_tol
-        if bmax < lo or bmin > hi:
-            continue
-        intervals.append((bmin, bmax))
-    intervals.sort()
-    merged = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return merged
+    half1 = math.sqrt(quarter + g_sq * (1.0 + inner))
+    half2 = math.sqrt(quarter + g_sq * (1.0 - inner))
+    return mean - half1, mean - half2, mean + half2, mean + half1
 
 
 def find_gaps(
@@ -285,24 +263,23 @@ def find_gaps(
         return []
     if cover_tol is None:
         cover_tol = bs.config.species_even.linewidth / 10.0
-    merged = _covered_intervals(bs, window, cover_tol)
-    uncovered = []
-    cursor = lo
-    for start, end in merged:
+    starts = bs.bands.min(axis=0) - cover_tol
+    ends = bs.bands.max(axis=0) + cover_tol
+    keep = ~((ends < lo) | (starts > hi))
+    # one sweep by start, closed by the sentinel (hi, hi): the cursor is the
+    # running maximum of the range ends, so a range that starts at or below
+    # it is already joined.  A gap that opens less than min_band_width above
+    # the last one extends it; the test of min_band_width > 0 matters where a
+    # negative cover_tol inverts a range and the cursor falls below that edge
+    gaps, cursor = [], lo
+    for start, end in sorted(zip(starts[keep].tolist(), ends[keep].tolist())) + [(hi, hi)]:
         if start > cursor:
-            uncovered.append((cursor, start))
-        cursor = max(cursor, end)
-    if cursor < hi:
-        uncovered.append((cursor, hi))
-    if min_band_width > 0.0 and len(uncovered) > 1:
-        fused = [uncovered[0]]
-        for start, end in uncovered[1:]:
-            if start - fused[-1][1] < min_band_width:
-                fused[-1] = (fused[-1][0], end)
+            if gaps and min_band_width > 0.0 and cursor - gaps[-1][1] < min_band_width:
+                gaps[-1] = (gaps[-1][0], start)
             else:
-                fused.append((start, end))
-        uncovered = fused
-    return [Gap(a, b, i + 1) for i, (a, b) in enumerate(uncovered) if b > a]
+                gaps.append((cursor, start))
+        cursor = max(cursor, end)
+    return [Gap(a, b, i + 1) for i, (a, b) in enumerate(gaps)]
 
 
 def _detuned(omega, omega_k):

@@ -171,7 +171,7 @@ class _Entry:
             self.fail(f"expected number(s), got {self.value!r}")
         if unit_map is None:   # a count or a plain number
             if unit is not None:
-                self.fail(f"count takes no unit, got {unit!r}")
+                self.fail(f"{kind} takes no unit, got {unit!r}")
         elif unit is None:
             self.fail(f"missing {kind} unit (one of {', '.join(unit_map)})")
         elif unit not in unit_map:

@@ -137,10 +137,16 @@ class SweepSpec:
                 raise ValueError("need at least three q-points")
             if self.n_bz < 1:
                 raise ValueError("need at least one Brillouin zone")
-        if self.engine == "gaps" and self.window is not None:
-            low, high = self.window
-            if not (np.isfinite(low) and np.isfinite(high) and low < high):
-                raise ValueError("gap window must be finite and increasing")
+        if self.engine == "bands" and self.q_max is not None:
+            if not 0 < self.q_max <= self.lattice.reciprocal_vector / 2:
+                raise ValueError("q_max must lie in (0, G0/2]")
+        if self.engine == "gaps":
+            if self.window is not None:
+                low, high = self.window
+                if not (np.isfinite(low) and np.isfinite(high) and low < high):
+                    raise ValueError("gap window must be finite and increasing")
+            if self.cover_tol is not None and self.cover_tol < 0.0:
+                raise ValueError("cover_tol must be >= 0")
 
     def resolved_rhos(self) -> np.ndarray:
         if self.rho_values is None:
@@ -164,14 +170,14 @@ def _run_cells(table: Table, cells: list[dict], run, failed) -> list:
     then, so a clean run's meta has no "errors" key.
     """
     results = []
-    for coords in cells:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for coords in cells:
+            try:
                 results.append(run(coords))
-        except Exception as exc:  # noqa: BLE001 - reported per cell
-            table.errors.append({**coords, "error": f"{type(exc).__name__}: {exc}"})
-            results.append(failed)
+            except Exception as exc:  # noqa: BLE001 - reported per cell
+                table.errors.append({**coords, "error": f"{type(exc).__name__}: {exc}"})
+                results.append(failed)
     return results
 
 

@@ -568,6 +568,72 @@ def test_gaps_sorted_nonoverlapping_indexed(omega0):
             assert g.lower_edge > gaps[i - 1].upper_edge
 
 
+def merged_interval_gaps(bands, window, cover_tol, min_band_width):
+    """Reference gap inventory in four passes: each band's min and max, the
+    overlapping ranges merged, the uncovered stretches between them, and the
+    gaps split by thin bands fused.  Returns (lower, upper, index) triples."""
+    lo, hi = window
+    if hi <= lo:
+        return []
+    intervals = []
+    for b in range(bands.shape[1]):
+        bmin = float(bands[:, b].min()) - cover_tol
+        bmax = float(bands[:, b].max()) + cover_tol
+        if bmax < lo or bmin > hi:
+            continue
+        intervals.append((bmin, bmax))
+    intervals.sort()
+    merged = []
+    for start, end in intervals:
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    uncovered = []
+    cursor = lo
+    for start, end in merged:
+        if start > cursor:
+            uncovered.append((cursor, start))
+        cursor = max(cursor, end)
+    if cursor < hi:
+        uncovered.append((cursor, hi))
+    if min_band_width > 0.0 and len(uncovered) > 1:
+        fused = [uncovered[0]]
+        for start, end in uncovered[1:]:
+            if start - fused[-1][1] < min_band_width:
+                fused[-1] = (fused[-1][0], end)
+            else:
+                fused.append((start, end))
+        uncovered = fused
+    return [(a, b, i + 1) for i, (a, b) in enumerate(uncovered) if b > a]
+
+
+# a coarse grid, so that band values tie and padded ranges touch or nest
+COARSE = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(0, 7)),
+    data=st.data(),
+    window=st.tuples(COARSE, COARSE),
+    cover_tol=st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, -1.0]),
+    min_band_width=st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
+)
+def test_find_gaps_matches_merged_intervals(shape, data, window, cover_tol, min_band_width):
+    """``find_gaps``' one sweep gives the merged-interval inventory exactly,
+    empty and inverted windows included.  Band values are finite, as both
+    band paths give them (a non-finite count fails its sweep cell first); a
+    negative cover_tol, which inverts narrow ranges, is drawn too."""
+    bands = np.array(data.draw(st.lists(COARSE, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1]))).reshape(shape)
+    bs = bandstructure.BandStructure(np.zeros(shape[0]), bands, 1, None)
+    gaps = find_gaps(bs, window, cover_tol, min_band_width)
+    assert [(g.lower_edge, g.upper_edge, g.index) for g in gaps] == merged_interval_gaps(
+        bands, window, cover_tol, min_band_width
+    )
+
+
 # ---------------------------------------------------------------------------
 # gap widths versus rho
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilattice import cli_io, tableio
 from bilattice.cli_io import (
@@ -771,6 +771,9 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
          "line 14: key 'occupancy': must be positive"),
         ("cavity", bundled_config_text("fig9").replace("finesse = 170000", "finesse = -5"),
          "line 12: key 'finesse': must be positive"),
+        # a plain number's unit error names its kind
+        ("cavity", bundled_config_text("fig9").replace("finesse = 170000", "finesse = 5 kHz"),
+         "line 12: key 'finesse': number takes no unit, got 'kHz'"),
         ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 0"),
          "line 9: key 'planes'"),
         ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "cells = 0"),
@@ -919,9 +922,16 @@ def is_engine_value(column: str) -> bool:
     return column in ("T", "R", "A") or column.startswith(("intensity_", "gap_count", "band_"))
 
 
+# probe points at or below 0 rad/s: NaN rows with error entries and exit 0,
+# so that the sidecar rule below has a case to check
+BELOW_ZERO_PROBE = "\n".join(FUZZ_CONFIGS["fig6"]).replace(
+    "probe_min = -600 gamma", "probe_min = -1e16 gamma") + "\n"
+
+
 @pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
 @settings(max_examples=300, deadline=None)
 @given(text=one_key_edits())
+@example(text=BELOW_ZERO_PROBE)
 def test_config_fuzz_exits_with_a_code(tmp_path_factory, text):
     here = tmp_path_factory.getbasetemp()
     cfg, out = here / "fuzz.cfg", here / "fuzz.csv"

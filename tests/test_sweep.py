@@ -41,8 +41,8 @@ def test_spec_validation(omega0):
         SweepSpec("transmit", lat, omega0, GAMMA)
     with pytest.raises(ValueError, match="cavity config"):
         SweepSpec("cavity", lat, omega0, GAMMA, probe_grid=np.array([omega0]))
-    # band truncations and gap windows are refused up front, not turned into
-    # one NaN row and one error entry per rho by run_sweep
+    # band truncations, q_max, gap windows and cover_tol are refused up front,
+    # not turned into one NaN row and one error entry per rho by run_sweep
     for engine in ("bands", "gaps"):
         with pytest.raises(ValueError, match="three q-points"):
             SweepSpec(engine, lat, omega0, GAMMA, n_q=2)
@@ -51,6 +51,11 @@ def test_spec_validation(omega0):
     for window in ((omega0 + GAMMA, omega0), (omega0, omega0), (math.nan, omega0)):
         with pytest.raises(ValueError, match="finite and increasing"):
             SweepSpec("gaps", lat, omega0, GAMMA, window=window)
+    for q_max in (2.0 * lat.reciprocal_vector, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"q_max must lie in \(0, G0/2\]"):
+            SweepSpec("bands", lat, omega0, GAMMA, q_max=q_max)
+    with pytest.raises(ValueError, match="cover_tol must be >= 0"):
+        SweepSpec("gaps", lat, omega0, GAMMA, cover_tol=-1.0)
 
 
 def test_transmit_single_rho_schema(omega0):
