@@ -258,23 +258,24 @@ def find_gaps(
     strips thinner than ``min_band_width`` that separate two gaps do not
     split them (coarse-grained counting; 0 disables merging).
     """
+    if cover_tol is None:
+        cover_tol = bs.config.species_even.linewidth / 10.0
+    if cover_tol < 0.0:
+        raise ValueError("cover_tol must be >= 0")
     lo, hi = window
     if hi <= lo:
         return []
-    if cover_tol is None:
-        cover_tol = bs.config.species_even.linewidth / 10.0
     starts = bs.bands.min(axis=0) - cover_tol
     ends = bs.bands.max(axis=0) + cover_tol
     keep = ~((ends < lo) | (starts > hi))
     # one sweep by start, closed by the sentinel (hi, hi): the cursor is the
     # running maximum of the range ends, so a range that starts at or below
     # it is already joined.  A gap that opens less than min_band_width above
-    # the last one extends it; the test of min_band_width > 0 matters where a
-    # negative cover_tol inverts a range and the cursor falls below that edge
+    # the last one extends it
     gaps, cursor = [], lo
     for start, end in sorted(zip(starts[keep].tolist(), ends[keep].tolist())) + [(hi, hi)]:
         if start > cursor:
-            if gaps and min_band_width > 0.0 and cursor - gaps[-1][1] < min_band_width:
+            if gaps and cursor - gaps[-1][1] < min_band_width:
                 gaps[-1] = (gaps[-1][0], start)
             else:
                 gaps.append((cursor, start))

@@ -49,9 +49,7 @@ from .core import AtomSpecies, cavity_coupling
 class CavityConfig:
     """Standing-wave resonator probed through one mirror.
 
-    ``linewidth`` is the half-width kappa (rad/s).  When a finesse is given
-    as well it is only cross-checked against kappa ~ pi c / (L F); kappa
-    wins on disagreement (warning beyond 20%).  ``plane_count`` is the
+    ``linewidth`` is the half-width kappa (rad/s).  ``plane_count`` is the
     number of lattice planes inside the mode (M = plane_count/2 cells);
     ``occupancy`` the mean atom number per site.
     """
@@ -65,7 +63,6 @@ class CavityConfig:
     plane_count: int               # N lattice planes inside the mode
     commensurate: bool
     occupancy: float = 1.0         # n-bar atoms per site
-    finesse: float | None = None
 
     def __post_init__(self):
         if self.linewidth <= 0 or self.length <= 0 or self.waist <= 0:
@@ -74,14 +71,6 @@ class CavityConfig:
             raise ValueError("plane count must be a positive even number")
         if self.occupancy <= 0:
             raise ValueError("site occupancy must be positive")
-        if self.finesse:
-            expected = math.pi * C / (self.length * self.finesse)
-            if abs(self.linewidth - expected) > 0.2 * expected:
-                warnings.warn(
-                    f"kappa = {self.linewidth:.4g} rad/s vs pi c/(L F) = "
-                    f"{expected:.4g} rad/s disagree by more than 20%; kappa wins",
-                    stacklevel=3,   # past the dataclass __init__ to its caller
-                )
 
     @property
     def cell_count(self) -> int:
@@ -345,9 +334,7 @@ def cavity_spectrum_scan(
     probe = np.asarray(probe_grid, dtype=float)
 
     def run_cell(rho, phi):
-        # finesse dropped so the kappa-consistency warning fires at most once,
-        # at construction of the original config
-        local = dataclasses.replace(cavity, phase=phi, finesse=None)
+        local = dataclasses.replace(cavity, phase=phi)
         intensity = output_intensity(local, species_even, species_odd, probe, rho)
         g1, g2 = _effective_couplings(local, species_even, species_odd)
         r_eff = collective_coupling_squared(g1, g2, local.wavevector, rho, phi, local.commensurate)

@@ -121,7 +121,6 @@ _KEYS = {
     "probe_points": ("count", ">= 2"),
     "cavity_length": ("length", "positive"),
     "kappa": ("rate", "positive"),
-    "finesse": ("number", "positive"),
     "cavity_waist": ("length", "positive"),
     "occupancy": ("number", "positive"),
     "pump": ("rate", "positive"),
@@ -303,7 +302,7 @@ def _parse(text: str) -> RunConfig:
         omega = omega0 + get(offset_key)
         gamma_j = get(gamma_key, gamma_ref)
         with entries[offset_key].blamed():
-            return AtomSpecies.from_frequency(omega, gamma_j)
+            return AtomSpecies(omega, gamma_j)
 
     species_even = species_at("omega_even", "gamma_even")
     species_odd = species_at("omega_odd", "gamma_odd")
@@ -373,7 +372,6 @@ def _parse(text: str) -> RunConfig:
             plane_count=2 * cell_count,
             commensurate=get("commensurate", True),
             occupancy=get("occupancy", 1.0),
-            finesse=get("finesse", None),
         )
         spec_kwargs["cavity"] = cavity
         spec_kwargs["phi_values"] = phi_values

@@ -25,8 +25,6 @@ import numpy as np
 
 from .constants import C, EPS0, HBAR, NAMED_TRANSITIONS, TWO_PI
 
-_WAVELENGTH_RTOL = 1e-12
-
 
 def _sigma0(wavelength: float) -> float:
     return 3.0 * wavelength**2 / TWO_PI
@@ -38,28 +36,22 @@ def _dipole_from_linewidth(omega: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class AtomSpecies:
-    """One dipolar transition: frequency, linewidth, wavelength, strength.
+    """One dipolar transition: frequency, linewidth, strength.
 
-    Exactly one of ``cross_section`` / ``dipole_moment`` may be supplied;
-    whichever is missing is derived (resonant cross section 3 lambda^2/2 pi,
-    dipole from the radiative-linewidth relation).
+    The wavelength lambda_j = 2 pi c / omega_j is derived from the frequency.
+    At most one of ``cross_section`` / ``dipole_moment`` (keyword-only) may be
+    supplied; whichever is missing is derived (resonant cross section
+    3 lambda^2/2 pi, dipole from the radiative-linewidth relation).
     """
 
     transition_frequency: float          # omega_j [rad/s]
     linewidth: float                     # gamma_j [rad/s]
-    transition_wavelength: float         # lambda_j [m]
-    cross_section: float = field(default=None)   # varsigma [m^2]
-    dipole_moment: float = field(default=None)   # |D_j| [C m]
+    cross_section: float = field(default=None, kw_only=True)   # varsigma [m^2]
+    dipole_moment: float = field(default=None, kw_only=True)   # |D_j| [C m]
 
     def __post_init__(self):
         if self.transition_frequency <= 0 or self.linewidth <= 0:
             raise ValueError("transition frequency and linewidth must be positive")
-        lam = TWO_PI * C / self.transition_frequency
-        if abs(self.transition_wavelength - lam) > _WAVELENGTH_RTOL * lam:
-            raise ValueError(
-                f"wavelength {self.transition_wavelength} inconsistent with "
-                f"frequency (expected {lam})"
-            )
         if self.cross_section is not None and self.dipole_moment is not None:
             raise ValueError("give at most one of cross_section, dipole_moment")
         if self.cross_section is None:
@@ -75,14 +67,14 @@ class AtomSpecies:
         elif self.dipole_moment < 0:
             raise ValueError("dipole moment must be non-negative")
 
-    @classmethod
-    def from_wavelength(cls, wavelength: float, gamma: float, **kwargs) -> "AtomSpecies":
-        omega = TWO_PI * C / wavelength
-        return cls(omega, gamma, wavelength, **kwargs)
+    @property
+    def transition_wavelength(self) -> float:
+        """lambda_j = 2 pi c / omega_j [m]."""
+        return TWO_PI * C / self.transition_frequency
 
     @classmethod
-    def from_frequency(cls, omega: float, gamma: float, **kwargs) -> "AtomSpecies":
-        return cls(omega, gamma, TWO_PI * C / omega, **kwargs)
+    def from_wavelength(cls, wavelength: float, gamma: float, **kwargs) -> "AtomSpecies":
+        return cls(TWO_PI * C / wavelength, gamma, **kwargs)
 
     @classmethod
     def named(cls, name: str) -> "AtomSpecies":
@@ -95,7 +87,7 @@ class AtomSpecies:
 
     def with_frequency(self, omega: float) -> "AtomSpecies":
         """Same linewidth, shifted transition (wavelength and strength re-derived)."""
-        return AtomSpecies.from_frequency(omega, self.linewidth)
+        return AtomSpecies(omega, self.linewidth)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ def make_lattice(
 ):
     """Lattice with species placed at omega0 + detuning*gamma, a = lambda0."""
     a = TWO_PI * C / omega0
-    even = AtomSpecies.from_frequency(omega0 + detuning_even * GAMMA, GAMMA)
-    odd = AtomSpecies.from_frequency(omega0 + detuning_odd * GAMMA, GAMMA)
+    even = AtomSpecies(omega0 + detuning_even * GAMMA, GAMMA)
+    odd = AtomSpecies(omega0 + detuning_odd * GAMMA, GAMMA)
     return LatticeConfig(
         cell_size=a,
         intracell_distance=rho_frac * a,

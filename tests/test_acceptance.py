@@ -193,7 +193,7 @@ def test_criterion_06_gap_multiplicity(omega0):
 def test_criterion_07_empty_cavity_equivalence(omega0):
     t0 = time.perf_counter()
     cav = make_cavity(omega0, phase=math.pi / 2)
-    sp = AtomSpecies.from_frequency(omega0 - 10 * GAMMA, GAMMA)
+    sp = AtomSpecies(omega0 - 10 * GAMMA, GAMMA)
     worst = 0.0
     for omega_p in omega0 + np.linspace(-50, 50, 1000) * GAMMA:
         delta_c = omega0 - omega_p
@@ -208,7 +208,7 @@ def test_criterion_07_empty_cavity_equivalence(omega0):
 
 def test_criterion_08_rabi_splitting(omega0, cell_size):
     t0 = time.perf_counter()
-    sp = AtomSpecies.from_frequency(omega0 - 10 * GAMMA, GAMMA)
+    sp = AtomSpecies(omega0 - 10 * GAMMA, GAMMA)
     cav = make_cavity(omega0, phase=0.0)
     g_eff = math.sqrt(cav.occupancy) * cavity_coupling(sp, cav)
     checks, details = [], []
@@ -240,7 +240,7 @@ def test_criterion_08_rabi_splitting(omega0, cell_size):
 
 def test_criterion_09_transparency_scaling(omega0):
     t0 = time.perf_counter()
-    sp = AtomSpecies.from_frequency(omega0, GAMMA)   # Delta = 0 at omega_p = omega0
+    sp = AtomSpecies(omega0, GAMMA)   # Delta = 0 at omega_p = omega0
     coops, intensities = [], []
     for scale in np.logspace(0, 3, 120):
         cav = make_cavity(omega0, phase=0.0, commensurate=False, occupancy=0.343 * scale)
@@ -289,7 +289,7 @@ def test_criterion_10_oracle_suites(omega0):
     ok_power = worst_power < 1e-8
 
     # (b) steady state vs printed output-intensity form
-    sp = AtomSpecies.from_frequency(omega0 - 10 * GAMMA, GAMMA)
+    sp = AtomSpecies(omega0 - 10 * GAMMA, GAMMA)
     cav = make_cavity(omega0, phase=0.4)
     rho = 0.17 * (2 * math.pi * 299792458.0 / omega0)
     g_eff = math.sqrt(cav.occupancy) * cavity_coupling(sp, cav)

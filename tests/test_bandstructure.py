@@ -32,7 +32,7 @@ from conftest import GAMMA, make_lattice
 def decoupled_lattice(omega0, rho_frac=0.2):
     """Identical geometry but zero dipole moment: light and spins decouple."""
     a = TWO_PI * C / omega0
-    dark = AtomSpecies.from_frequency(omega0 - 10 * GAMMA, GAMMA, dipole_moment=0.0)
+    dark = AtomSpecies(omega0 - 10 * GAMMA, GAMMA, dipole_moment=0.0)
     return LatticeConfig(
         cell_size=a,
         intracell_distance=rho_frac * a,
@@ -146,6 +146,37 @@ def test_spectrum_symmetric_under_q_reversal(omega0):
 def test_band_sweep_rejects_tiny_grid(fiber_lattice):
     with pytest.raises(ValueError, match="three"):
         compute_bands(fiber_lattice, n_q=2)
+
+
+def test_band_sweep_rejects_q_max_beyond_half_zone(fiber_lattice):
+    with pytest.raises(ValueError, match=r"^q_max must lie in \(0, G0/2\]$"):
+        compute_bands(fiber_lattice, n_bz=2, n_q=5, q_max=fiber_lattice.reciprocal_vector)
+
+
+def test_eigensolver_failure_names_its_q_point(fiber_lattice, monkeypatch):
+    """A stack that does not converge is replayed one q at a time, so that
+    the error names the q-point whose matrix fails."""
+    q_grid = _q_grid(fiber_lattice, 5)
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(bad_q):
+        def solve(h):
+            # the stack fails, and so does the one matrix of bad_q (if any)
+            if h.ndim == 3 or (bad_q is not None and np.array_equal(h, stack[bad_q])):
+                raise np.linalg.LinAlgError("no convergence")
+            return eigvalsh(h)
+        return solve
+
+    stack = bandstructure._assemble_stack(fiber_lattice, q_grid, 2)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing(3))
+    with pytest.raises(RuntimeError, match="^eigensolver failed to converge at q = ") as info:
+        compute_bands(fiber_lattice, n_bz=2, n_q=5)
+    assert str(info.value) == f"eigensolver failed to converge at q = {q_grid[3]} rad/m"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # no single q fails: the error says so without naming one
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing(None))
+    with pytest.raises(RuntimeError, match="^eigensolver failed to converge$"):
+        compute_bands(fiber_lattice, n_bz=2, n_q=5)
 
 
 @pytest.mark.parametrize("n_bz", [0, -3])
@@ -514,6 +545,12 @@ def test_no_gaps_without_coupling(omega0):
     assert find_gaps(bs, window_for(cfg)) == []
 
 
+@pytest.mark.parametrize("edges", [(2.0, 1.0), (1.0, 1.0)], ids=["inverted", "empty"])
+def test_gap_refuses_edges_out_of_order(edges):
+    with pytest.raises(ValueError, match="^gap upper edge must exceed lower edge$"):
+        bandstructure.Gap(*edges, 1)
+
+
 def test_degenerate_window_gives_empty_list(fiber_lattice):
     bs = compute_bands(fiber_lattice, n_bz=4, n_q=11)
     assert find_gaps(bs, (omega_hi := fiber_lattice.bragg_frequency, omega_hi)) == []
@@ -617,14 +654,13 @@ COARSE = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
     shape=st.tuples(st.integers(1, 4), st.integers(0, 7)),
     data=st.data(),
     window=st.tuples(COARSE, COARSE),
-    cover_tol=st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, -1.0]),
+    cover_tol=st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
     min_band_width=st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
 )
 def test_find_gaps_matches_merged_intervals(shape, data, window, cover_tol, min_band_width):
     """``find_gaps``' one sweep gives the merged-interval inventory exactly,
     empty and inverted windows included.  Band values are finite, as both
-    band paths give them (a non-finite count fails its sweep cell first); a
-    negative cover_tol, which inverts narrow ranges, is drawn too."""
+    band paths give them (a non-finite count fails its sweep cell first)."""
     bands = np.array(data.draw(st.lists(COARSE, min_size=shape[0] * shape[1],
                                         max_size=shape[0] * shape[1]))).reshape(shape)
     bs = bandstructure.BandStructure(np.zeros(shape[0]), bands, 1, None)
@@ -693,6 +729,10 @@ def test_rho_scan_rejects_negative_cover_tol(omega0):
     cfg = make_lattice(omega0, cells=100)
     with pytest.raises(ValueError, match="cover_tol"):
         gap_widths_vs_rho(cfg, [0.2 * cfg.cell_size], n_bz=4, n_q=11, cover_tol=-GAMMA)
+    # a negative cover_tol inverts narrow band ranges; find_gaps refuses it too
+    bs = bandstructure.BandStructure(np.zeros(1), np.zeros((1, 1)), 1, cfg)
+    with pytest.raises(ValueError, match="cover_tol must be >= 0"):
+        find_gaps(bs, (0.0, 1.0), cover_tol=-1.0)
 
 
 @pytest.mark.parametrize("name", ["fig2b", "fig4", "fig5"])

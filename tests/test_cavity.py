@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import linecache
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,17 +51,6 @@ def test_cavity_config_validation(omega0):
         make_cavity(omega0, phase=0.0, planes=201)
     with pytest.raises(ValueError, match="occupancy"):
         make_cavity(omega0, phase=0.0, occupancy=0.0)
-
-
-def test_finesse_consistency_warns_on_paper_numbers(omega0):
-    # kappa = 2 pi x 21 kHz vs pi c/(L F) = 6.5e4 rad/s disagree by ~2x
-    with pytest.warns(UserWarning, match="kappa") as record:
-        make_cavity(omega0, phase=0.0, finesse=170_000)
-    # reported at the line that builds the CavityConfig, not in the
-    # dataclass-generated __init__ ('<string>')
-    (warning,) = record
-    assert Path(warning.filename).name == "conftest.py"
-    assert "CavityConfig(" in linecache.getline(warning.filename, warning.lineno)
 
 
 def test_commensurate_order_parity(omega0, cell_size):
@@ -147,7 +134,7 @@ def test_zero_pump_zero_amplitudes(omega0, lattice):
 
 
 def test_uncoupled_atoms_give_bare_lorentzian(omega0, lattice):
-    dark = AtomSpecies.from_frequency(
+    dark = AtomSpecies(
         lattice.species_even.transition_frequency, GAMMA, cross_section=0.0
     )
     cav = make_cavity(omega0, phase=0.0)
@@ -217,8 +204,8 @@ def test_spin_elimination_matches_linear_solve(
     omega0, cell_size, detunings, linewidths, phase, rho_frac, commensurate, probe
 ):
     # unequal species detunings and linewidths, both geometries
-    even = AtomSpecies.from_frequency(omega0 + detunings[0] * GAMMA, linewidths[0] * GAMMA)
-    odd = AtomSpecies.from_frequency(omega0 + detunings[1] * GAMMA, linewidths[1] * GAMMA)
+    even = AtomSpecies(omega0 + detunings[0] * GAMMA, linewidths[0] * GAMMA)
+    odd = AtomSpecies(omega0 + detunings[1] * GAMMA, linewidths[1] * GAMMA)
     cav = make_cavity(
         omega0 + detunings[2] * GAMMA, phase=phase, commensurate=commensurate
     )
@@ -293,7 +280,7 @@ def test_empty_cavity_lorentzian_when_atoms_at_nodes(omega0, lattice):
 
 def test_cavity_induced_transparency_scaling(omega0, lattice):
     # on double resonance the output falls as 1/C^2
-    sp = AtomSpecies.from_frequency(omega0, GAMMA)   # Delta = delta_c = 0 at omega_p = omega0
+    sp = AtomSpecies(omega0, GAMMA)   # Delta = delta_c = 0 at omega_p = omega0
     intensities, coops = [], []
     for nbar in np.logspace(1, 5, 9):
         cav = make_cavity(omega0, phase=0.0, occupancy=float(nbar), commensurate=False)
@@ -338,6 +325,15 @@ def test_scan_extracts_rabi_peaks(omega0, lattice):
     lo, hi = cell.predicted_peaks
     assert any(abs(p - lo) < 50 * KAPPA for p in cell.peaks)
     assert any(abs(p - hi) < 50 * KAPPA for p in cell.peaks)
+
+
+def test_scan_rejects_an_empty_grid(omega0, lattice):
+    cav = make_cavity(omega0, phase=0.0)
+    grids = ([omega0], [0.0], [0.0])
+    for empty in range(3):
+        args = [[] if i == empty else g for i, g in enumerate(grids)]
+        with pytest.raises(ValueError, match="^empty scan grid$"):
+            cavity_spectrum_scan(cav, lattice.species_even, lattice.species_odd, *args)
 
 
 def test_scan_grid_order(omega0, lattice):

@@ -130,6 +130,12 @@ def test_every_bundled_config_parses():
         assert cfg.sweep.engine in ("bands", "gaps", "transmit", "cavity")
 
 
+def test_unknown_bundled_config_lists_the_bundled_names():
+    with pytest.raises(ConfigError, match="unknown bundled config 'fig11'") as info:
+        bundled_config_text("fig11")
+    assert f"(have: {', '.join(BUNDLED_CONFIGS)})" in str(info.value)
+
+
 def test_readme_key_table_is_the_parser_table():
     # README "Config files": one row per key, | `key` | unit kind | rule |
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -423,6 +429,13 @@ def test_misshapen_tables_are_refused(tmp_path, fmt):
     ):
         with pytest.raises(ValueError):
             write_table(table, tmp_path / f"t.{fmt}", fmt)
+
+
+def test_unknown_format_is_refused(tmp_path):
+    path = tmp_path / "t.xml"
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        write_table(Table(["x"], [(1.0,)]), path, "xml")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -756,24 +769,36 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
          "line 8: key 'waist'"),
         ("cavity", bundled_config_text("fig9").replace("cavity_waist = 130 um",
                                                        "cavity_waist = 1e-300 um"),
-         "line 13: key 'cavity_waist'"),
+         "line 12: key 'cavity_waist'"),
         ("cavity", bundled_config_text("fig9").replace("cavity_waist = 130 um",
                                                        "cavity_waist = 1e300 um"),
-         "line 13: key 'cavity_waist'"),
+         "line 12: key 'cavity_waist'"),
         # values checked where they are read; these errors named no key or line
         ("cavity", bundled_config_text("fig9").replace("kappa = 21 kHz", "kappa = -21 kHz"),
          "line 11: key 'kappa': must be positive"),
         ("cavity", bundled_config_text("fig9").replace("85 mm", "0 mm"),
          "line 10: key 'cavity_length': must be positive"),
         ("cavity", bundled_config_text("fig9").replace("130 um", "0 um"),
-         "line 13: key 'cavity_waist': must be positive"),
+         "line 12: key 'cavity_waist': must be positive"),
         ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 0"),
-         "line 14: key 'occupancy': must be positive"),
-        ("cavity", bundled_config_text("fig9").replace("finesse = 170000", "finesse = -5"),
-         "line 12: key 'finesse': must be positive"),
+         "line 13: key 'occupancy': must be positive"),
+        # no longer a key: no formula read it, and kappa sets the linewidth
+        ("cavity", bundled_config_text("fig9") + "finesse = 170000\n",
+         "unknown key(s): finesse"),
         # a plain number's unit error names its kind
-        ("cavity", bundled_config_text("fig9").replace("finesse = 170000", "finesse = 5 kHz"),
-         "line 12: key 'finesse': number takes no unit, got 'kHz'"),
+        ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 3000 kHz"),
+         "line 13: key 'occupancy': number takes no unit, got 'kHz'"),
+        # malformed lines and values, and rules that tie keys together
+        ("transmit", bundled_config_text("fig6").replace("rho = 0 a", "rho ="),
+         "line 8: empty key or value"),
+        ("gaps", bundled_config_text("fig4").replace("n_q = 201", "n_q = abc"),
+         "line 13: key 'n_q': expected number(s)"),
+        ("transmit", bundled_config_text("fig6").replace("rho = 0 a", "rho = 0.1, 0.2 a"),
+         "expected a single value, got a list"),
+        ("transmit", bundled_config_text("fig6") + "rho_values = 0, 0.2 a\n",
+         "give only one of rho, rho_values, rho_min/rho_max/rho_points"),
+        ("transmit", bundled_config_text("fig6") + "cells = 10\n",
+         "give exactly one of 'cells' and 'planes'"),
         ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 0"),
          "line 9: key 'planes'"),
         ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "cells = 0"),
@@ -807,10 +832,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
             for edit in (
                 ("cavity", bundled_config_text(name).replace("cavity_detuning = 0 gamma",
                                                              "cavity_detuning = 1e300 gamma"),
-                 "line 17: key 'cavity_detuning': must satisfy |cavity_detuning| < omega_0"),
+                 "line 16: key 'cavity_detuning': must satisfy |cavity_detuning| < omega_0"),
                 ("cavity", bundled_config_text(name).replace("occupancy = 3000",
                                                              "occupancy = 1e300"),
-                 "line 14: key 'occupancy': gives a collective rate"),
+                 "line 13: key 'occupancy': gives a collective rate"),
                 ("cavity", bundled_config_text(name).replace("cavity_length = 85 mm",
                                                              "cavity_length = 1e-300 mm"),
                  "line 10: key 'cavity_length': gives a squared single-atom coupling"),
@@ -821,7 +846,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
          "line 14: key 'window_min': must put the window above 0"),
         # n-bar atoms per mode area overflow: the occupancy is at fault, not the waist
         ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 1e305"),
-         "line 14: key 'occupancy': ValueError: areal density must be positive and finite"),
+         "line 13: key 'occupancy': ValueError: areal density must be positive and finite"),
     ):
         cfg.write_text(text)
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -928,7 +953,6 @@ BELOW_ZERO_PROBE = "\n".join(FUZZ_CONFIGS["fig6"]).replace(
     "probe_min = -600 gamma", "probe_min = -1e16 gamma") + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
 @settings(max_examples=300, deadline=None)
 @given(text=one_key_edits())
 @example(text=BELOW_ZERO_PROBE)
@@ -981,7 +1005,6 @@ def breaks_rule(key: str, number: str, unit: str) -> bool:
     return rule is not None and x < float(rule.removeprefix(">= "))
 
 
-@pytest.mark.filterwarnings("ignore:kappa = .* disagree:UserWarning")
 def test_every_one_value_edit_writes_finite_engine_values(tmp_path, capsys):
     # an accepted value must not end in a table of NaN or infinite engine
     # values with exit 0: a value outside an engine's range exits 1 instead,
@@ -1003,8 +1026,8 @@ def test_every_one_value_edit_writes_finite_engine_values(tmp_path, capsys):
             engine = [j for j, c in enumerate(table.columns) if is_engine_value(c)]
             if not np.isfinite(np.array(table.rows)[:, engine]).all():
                 silent.append(label)
-    assert runs == 1118
-    assert broken == 188
+    assert runs == 1098
+    assert broken == 184
     assert silent == []
 
 

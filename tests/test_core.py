@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,9 +68,18 @@ def test_species_derives_cross_section_and_dipole(rb):
     assert rb.dipole_moment**2 == pytest.approx(expected_d2, rel=1e-12)
 
 
-def test_species_rejects_inconsistent_wavelength():
-    with pytest.raises(ValueError, match="inconsistent"):
+def test_species_strength_is_keyword_only():
+    # a third positional argument was once the wavelength; it must not set sigma
+    with pytest.raises(TypeError):
         AtomSpecies(TWO_PI * C / 780e-9, GAMMA, 781e-9)
+
+
+@pytest.mark.parametrize("strength", [{"cross_section": -1e-13}, {"dipole_moment": -1e-29}],
+                         ids=["cross_section", "dipole_moment"])
+def test_species_rejects_negative_strength(strength):
+    name = next(iter(strength)).replace("_", " ")
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+        AtomSpecies(TWO_PI * C / 780e-9, GAMMA, **strength)
 
 
 def test_species_rejects_double_strength_spec():
@@ -128,6 +138,14 @@ def test_polarizability_absorptive_and_peaked_on_resonance(rb):
 
 def test_xi_zero_density(rb):
     assert xi_parameter(rb.transition_frequency, rb, 0.0) == 0
+
+
+def test_polarizability_and_xi_reject_unphysical_input(rb):
+    for omega_p in (0.0, -rb.transition_frequency, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="^probe frequency must be positive$"):
+            polarizability(omega_p, rb)
+    with pytest.raises(ValueError, match="^areal density must be non-negative$"):
+        xi_parameter(rb.transition_frequency, rb, -1.0)
 
 
 def test_xi_resonance_purely_imaginary_positive(rb):
@@ -204,6 +222,19 @@ def test_cavity_coupling_scales_with_cross_section(rb, omega0):
     )
     none = AtomSpecies.from_wavelength(LAMBDA_ATOM, GAMMA, cross_section=0.0)
     assert cavity_coupling(none, cav) == 0.0
+
+
+def test_couplings_reject_unphysical_input(rb, omega0):
+    for omega_k in (0.0, -omega0):
+        with pytest.raises(ValueError, match="^mode frequency and volume must be positive$"):
+            freespace_coupling(rb, omega_k, 1e-15)
+    cav = make_cavity(omega0, phase=0.0)
+    for length in (0.0, -85e-3):
+        # CavityConfig refuses such a length itself; the coupling takes any
+        # object with a length and a waist
+        bad = SimpleNamespace(length=length, waist=cav.waist)
+        with pytest.raises(ValueError, match="^cavity length and waist must be positive$"):
+            cavity_coupling(rb, bad)
 
 
 def test_operations_are_pure(rb):

@@ -56,6 +56,8 @@ def test_spec_validation(omega0):
             SweepSpec("bands", lat, omega0, GAMMA, q_max=q_max)
     with pytest.raises(ValueError, match="cover_tol must be >= 0"):
         SweepSpec("gaps", lat, omega0, GAMMA, cover_tol=-1.0)
+    with pytest.raises(ValueError, match="^rho grid must be non-empty$"):
+        SweepSpec("gaps", lat, omega0, GAMMA, rho_values=np.array([]))
 
 
 def test_transmit_single_rho_schema(omega0):

@@ -91,6 +91,11 @@ def test_period_matrix_free_propagation():
     assert m.m12 == 0 and m.m21 == 0
 
 
+def test_period_matrix_rejects_negative_distance():
+    with pytest.raises(ValueError, match="^propagation distance must be non-negative$"):
+        period_matrix(0.1j, -1e-9, TWO_PI / 780e-9)
+
+
 def test_period_matrix_unimodular():
     rng = np.random.default_rng(17)
     for _ in range(500):
@@ -439,6 +444,16 @@ def test_stack_coefficient_determinant_form():
     for _ in range(200):
         cell = random_cell(rng)
         assert cell.determinant == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_stack_and_asymptotic_reject_fewer_than_one_cell(probe_lattice, n):
+    cell = random_cell(np.random.default_rng(5))
+    with pytest.raises(ValueError, match="^need at least one cell$"):
+        stack_coefficients(cell, n)
+    omega_p = probe_lattice.species_even.transition_frequency + 200 * GAMMA
+    with pytest.raises(ValueError, match="^need at least one cell$"):
+        transmission_asymptotic(probe_lattice, omega_p, n)
 
 
 # ---------------------------------------------------------------------------
