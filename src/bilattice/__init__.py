@@ -31,19 +31,17 @@ _EXPORTS = {
     ),
     "cavity": (
         "CavityConfig", "SteadyState", "cavity_spectrum_scan",
-        "collective_coupling_squared", "cooperativity", "eigenfrequencies",
-        "output_intensity", "output_intensity_closed_form",
-        "rabi_peak_frequencies", "steady_state",
+        "collective_coupling_squared", "eigenfrequencies", "output_intensity",
+        "output_intensity_closed_form", "rabi_peak_frequencies", "steady_state",
     ),
     "core": (
-        "AtomSpecies", "LatticeConfig", "beta_to_spacings", "cavity_coupling",
-        "freespace_coupling", "polarizability", "xi_parameter",
+        "AtomSpecies", "LatticeConfig", "cavity_coupling", "freespace_coupling",
+        "polarizability", "xi_parameter",
     ),
     "sweep": ("Cell", "SweepSpec", "Table", "run_sweep"),
     "transfer_matrix": (
         "ScatterMatrix", "Spectrum", "cell_dephasing", "dimer_matrix",
-        "period_matrix", "plane_coefficients", "spectrum_scan",
-        "stack_coefficients", "transmission_asymptotic", "transmission_closed_form",
+        "period_matrix", "spectrum_scan", "stack_coefficients", "transmission_closed_form",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -57,10 +57,6 @@ class BlochMatrix:
     reciprocal_indices: np.ndarray  # m values of the retained G = 2 pi m / a
     matrix: np.ndarray              # (n_G + 2) x (n_G + 2) complex Hermitian
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class BandStructure:
@@ -70,10 +66,6 @@ class BandStructure:
     bands: np.ndarray               # (n_q, n_modes), ascending along axis 1
     n_bz: int
     config: LatticeConfig
-
-    @property
-    def band_count(self) -> int:
-        return self.bands.shape[1]
 
 
 @dataclass(frozen=True)

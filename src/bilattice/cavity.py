@@ -283,11 +283,6 @@ def rabi_peak_frequencies(
     return mean - half, mean + half
 
 
-def cooperativity(cell_count: int, coupling_sq: float, kappa: float, gamma: float) -> float:
-    """Collective cooperativity M R / (kappa gamma)."""
-    return cell_count * coupling_sq / (kappa * gamma)
-
-
 def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
     """Quadratic interpolation of a local maximum at interior grid index i."""
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]

@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ import numpy as np
 
 from .constants import C, TWO_PI
 from .core import AtomSpecies, LatticeConfig, cavity_coupling
-from .sweep import ENGINES, SweepSpec, Table, run_sweep
+from .sweep import ENGINES, SweepSpec, run_sweep
 from .tableio import write_table
 
 BUNDLED_CONFIGS = (
@@ -450,25 +449,6 @@ def _parse(text: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# tables (written by ``tableio.write_table``)
-
-
-def read_table(path) -> Table:
-    """Read back a table written by write_table (either format)."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        rows = [
-            tuple(float("nan") if v is None else v for v in row) for row in doc["rows"]
-        ]
-        return Table(doc["columns"], rows, doc.get("meta", {}))
-    lines = [ln for ln in text.splitlines() if ln]
-    columns = lines[0].split(",")
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    return Table(columns, rows)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -534,7 +514,7 @@ def main(argv=None) -> int:
     try:
         table = run_sweep(cfg.sweep)
         write_table(table, args.out, args.format)
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, OSError) as exc:
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, OSError, Warning) as exc:
         print(f"numeric/runtime failure: {exc}", file=sys.stderr)
         return 2
     return 0

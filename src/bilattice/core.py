@@ -110,16 +110,14 @@ class LatticeConfig:
     species_odd: AtomSpecies
 
     def __post_init__(self):
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError("cell size must be positive and finite")
         if not 0.0 <= self.intracell_distance <= self.cell_size:
             raise ValueError("intracell distance must satisfy 0 <= rho <= a")
         if self.cell_count < 1:
             raise ValueError("need at least one cell")
         if not 0.0 < self.areal_density < math.inf:
             raise ValueError("areal density must be positive and finite")
-
-    @property
-    def plane_count(self) -> int:
-        return 2 * self.cell_count
 
     @property
     def reciprocal_vector(self) -> float:
@@ -136,32 +134,10 @@ class LatticeConfig:
         """V = M a / n_s [m^3]: one atom per site per 1/n_s of area."""
         return self.cell_count * self.cell_size / self.areal_density
 
-    def plane_positions(self):
-        cells = np.arange(self.cell_count) * self.cell_size
-        pos = np.empty(self.plane_count)
-        pos[0::2] = cells
-        pos[1::2] = cells + self.intracell_distance
-        return pos
-
     def replace(self, **changes) -> "LatticeConfig":
         import dataclasses
 
         return dataclasses.replace(self, **changes)
-
-
-def beta_to_spacings(beta: float, wavelength: float) -> tuple[float, float]:
-    """Well spacings (d1, d2) of the two-beam superlattice potential
-    U(x) ~ beta^2 cos^2(kx/2) + cos^2(kx).
-
-    d2 = (lambda/pi) * acos(-beta^2/4) and d1 = lambda - d2, so d1 + d2 is
-    exactly one wavelength; (d1, d2) serve as (rho, a - rho) with a = lambda.
-    Requires beta^2 <= 4 (acos argument in [-1, 0]).
-    """
-    arg = -beta * beta / 4.0
-    if arg < -1.0:
-        raise ValueError(f"beta^2 = {beta * beta} exceeds 4: potential has no double well")
-    d2 = wavelength * math.acos(arg) / math.pi
-    return wavelength - d2, d2
 
 
 def polarizability(omega_p: float, species: AtomSpecies) -> complex:

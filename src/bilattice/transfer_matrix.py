@@ -75,19 +75,6 @@ class ScatterMatrix:
     def trace(self) -> complex:
         return self.m11 + self.m22
 
-    @property
-    def reflection(self) -> complex:
-        """r = M12 / M22 of the stack this matrix represents."""
-        return self.m12 / self.m22
-
-    @property
-    def transmission(self) -> complex:
-        """t = 1 / M22 of the stack this matrix represents."""
-        return 1.0 / self.m22
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
-
 
 class Spectrum(NamedTuple):
     """T, R, A of the full stack over a probe grid, one array entry per point.
@@ -103,18 +90,6 @@ class Spectrum(NamedTuple):
     reflected: np.ndarray      # R = |r|^2
     absorbed: np.ndarray       # A = 1 - T - R
     errors: dict[int, str]
-
-
-def plane_coefficients(xi: complex) -> tuple[complex, complex]:
-    """Reflection and transmission (r, t) of a single atomic plane.
-
-    r = i xi / (1 - i xi), t = 1 / (1 - i xi); the thin-sheet relation
-    t - r = 1 holds identically.  xi = -i (gain-like pole) is rejected.
-    """
-    denom = 1.0 - 1j * xi
-    if abs(denom) < 1e-12:
-        raise ValueError("xi ~ -i: singular (gain-like) sheet response")
-    return 1j * xi / denom, 1.0 / denom
 
 
 def period_matrix(xi, d: float, k_p) -> ScatterMatrix:
@@ -235,27 +210,6 @@ def transmission_closed_form(cfg: LatticeConfig, omega_p: float, n: int) -> comp
     """
     _, t = stack_coefficients(dimer_matrix(cfg, np.array([omega_p], dtype=float)), n)
     return complex(t[0])
-
-
-class AsymptoticTransmission(NamedTuple):
-    value: complex
-    valid: bool   # True when Im Theta > Re Theta (deep-gap regime)
-
-
-def transmission_asymptotic(cfg: LatticeConfig, omega_p: float, n: int) -> AsymptoticTransmission:
-    """Large-n transmission 2 e^{i n Theta} sin Theta / (sin Theta + i (M22 - cos Theta)).
-
-    Magnitude decays as e^{-n Im Theta}.  The stated validity domain is
-    Im Theta > Re Theta (around the atomic resonances); outside it the value
-    is still returned but flagged invalid.
-    """
-    if n < 1:
-        raise ValueError("need at least one cell")
-    m = dimer_matrix(cfg, omega_p)
-    cos, sin = _cos_sin(m)
-    theta = complex(-1j * np.log(cos + 1j * sin))
-    value = 2.0 * np.exp(1j * n * theta) * sin / (sin + 1j * (m.m22 - cos))
-    return AsymptoticTransmission(complex(value), theta.imag > theta.real)
 
 
 def spectrum_scan(cfg: LatticeConfig, probe_grid: Sequence[float]) -> Spectrum:

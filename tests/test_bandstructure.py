@@ -49,7 +49,7 @@ def decoupled_lattice(omega0, rho_frac=0.2):
 
 def test_matrix_dimension_at_forty_zones(fiber_lattice):
     bm = build_bloch_matrix(0.0, fiber_lattice, n_bz=40)
-    assert bm.dimension == 83
+    assert bm.matrix.shape[0] == 83
 
 
 def test_matrix_is_hermitian_with_real_nonneg_diagonal(omega0):
@@ -132,7 +132,7 @@ def test_band_sweep_matches_per_q_reference(omega0):
 
 def test_bands_sorted_and_counted(fiber_lattice):
     bs = compute_bands(fiber_lattice, n_bz=10, n_q=11)
-    assert bs.band_count == 2 * 10 + 3
+    assert bs.bands.shape[1] == 2 * 10 + 3
     assert np.all(np.diff(bs.bands, axis=1) >= 0)
 
 

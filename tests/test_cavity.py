@@ -12,7 +12,6 @@ from bilattice.cavity import (
     CavityConfig,
     cavity_spectrum_scan,
     collective_coupling_squared,
-    cooperativity,
     eigenfrequencies,
     extract_peaks,
     output_intensity,
@@ -24,6 +23,7 @@ from bilattice.constants import TWO_PI
 from bilattice.core import AtomSpecies, cavity_coupling
 
 from conftest import GAMMA, LAMBDA_ATOM, make_cavity, make_lattice
+from oracles import cooperativity
 
 KAPPA = TWO_PI * 21e3
 

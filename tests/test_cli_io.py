@@ -23,7 +23,6 @@ from bilattice.cli_io import (
     bundled_config_text,
     main,
     parse_config,
-    read_table,
     write_table,
 )
 from bilattice.constants import C, TWO_PI
@@ -32,6 +31,7 @@ from bilattice.sweep import Cell, Table, run_sweep
 from bilattice.tableio import _jsonable
 
 from conftest import GAMMA
+from oracles import read_table
 
 MINIMAL_TRANSMIT = """\
 engine = transmit
@@ -1112,6 +1112,24 @@ def test_package_runs_as_a_module(tmp_path):
         )
         assert proc.returncode == code, proc.stderr
     assert out.read_text().startswith("rho_over_a,gap_count,")
+
+
+def test_warning_raised_as_error_exits_2_without_traceback(tmp_path):
+    # at 137 gamma the cavity is marked commensurate but k a / pi is not an
+    # integer; under -W error that warning is raised outside the cell loop
+    src = Path(cli_io.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    cfg = tmp_path / "fig9_137.cfg"
+    cfg.write_text(bundled_config_text("fig9").replace(
+        "cavity_detuning = 0 gamma", "cavity_detuning = 137 gamma"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-m", "bilattice", "scan",
+         "--config", str(cfg), "--out", str(tmp_path / "fig9_137.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numeric/runtime failure: cavity marked commensurate")
 
 
 def test_cli_accepts_bundled_name(tmp_path):

@@ -12,7 +12,6 @@ from bilattice.constants import C, EPS0, HBAR, TWO_PI
 from bilattice.core import (
     AtomSpecies,
     LatticeConfig,
-    beta_to_spacings,
     cavity_coupling,
     freespace_coupling,
     polarizability,
@@ -20,42 +19,6 @@ from bilattice.core import (
 )
 
 from conftest import GAMMA, LAMBDA_ATOM, make_cavity, make_lattice
-
-
-# ---------------------------------------------------------------------------
-# beta_to_spacings
-
-
-def test_beta_zero_gives_half_wavelength_spacings():
-    d1, d2 = beta_to_spacings(0.0, LAMBDA_ATOM)
-    assert d1 == pytest.approx(LAMBDA_ATOM / 2, rel=1e-15)
-    assert d2 == pytest.approx(LAMBDA_ATOM / 2, rel=1e-15)
-
-
-def test_beta_two_is_the_merged_well_boundary():
-    d1, d2 = beta_to_spacings(2.0, LAMBDA_ATOM)
-    assert d1 == pytest.approx(0.0, abs=1e-22)
-    assert d2 == pytest.approx(LAMBDA_ATOM, rel=1e-15)
-
-
-def test_beta_one_matches_acos_evaluation():
-    # d2/lambda = acos(-1/4)/pi evaluated independently
-    d1, d2 = beta_to_spacings(1.0, LAMBDA_ATOM)
-    assert d1 / LAMBDA_ATOM == pytest.approx(0.41956937674483374, rel=1e-12)
-    assert d2 / LAMBDA_ATOM == pytest.approx(0.5804306232551663, rel=1e-12)
-
-
-def test_beta_out_of_domain_rejected():
-    with pytest.raises(ValueError, match="double well"):
-        beta_to_spacings(2.0000001, LAMBDA_ATOM)
-
-
-def test_spacings_sum_to_wavelength_exactly():
-    rng = np.random.default_rng(7)
-    for beta in rng.uniform(0.0, 2.0, size=1000):
-        d1, d2 = beta_to_spacings(float(beta), LAMBDA_ATOM)
-        assert d1 + d2 == LAMBDA_ATOM   # exact by construction
-        assert d1 >= 0.0 and d2 >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +211,11 @@ def test_operations_are_pure(rb):
 # LatticeConfig
 
 
-def test_lattice_plane_positions(omega0):
-    cfg = make_lattice(omega0, rho_frac=0.2, cells=3)
-    a = cfg.cell_size
-    pos = cfg.plane_positions()
-    assert pos == pytest.approx([0.0, 0.2 * a, a, 1.2 * a, 2 * a, 2.2 * a])
-
-
 def test_lattice_invariants(omega0):
+    lattice = make_lattice(omega0, cells=3)
+    for size in (0.0, math.inf):
+        with pytest.raises(ValueError, match="^cell size must be positive and finite$"):
+            lattice.replace(cell_size=size)
     with pytest.raises(ValueError, match="rho"):
         make_lattice(omega0, rho_frac=1.5)
     with pytest.raises(ValueError, match="cell"):

@@ -15,14 +15,13 @@ import bilattice
 PUBLIC_NAMES = {
     "AtomSpecies", "BandStructure", "BlochMatrix", "CavityConfig", "Cell", "Gap",
     "LatticeConfig", "ScatterMatrix", "Spectrum", "SteadyState", "SweepSpec", "Table",
-    "analytic_band_edges", "beta_to_spacings", "build_bloch_matrix", "cavity_coupling",
+    "analytic_band_edges", "build_bloch_matrix", "cavity_coupling",
     "cavity_spectrum_scan", "cell_dephasing", "collective_coupling_squared",
-    "compute_bands", "cooperativity", "dimer_matrix", "eigenfrequencies", "find_gaps",
+    "compute_bands", "dimer_matrix", "eigenfrequencies", "find_gaps",
     "freespace_coupling", "gap_widths_vs_rho", "output_intensity",
-    "output_intensity_closed_form", "period_matrix", "plane_coefficients",
-    "polarizability", "rabi_peak_frequencies", "run_sweep", "spectrum_scan",
-    "stack_coefficients", "steady_state", "transmission_asymptotic",
-    "transmission_closed_form", "xi_parameter",
+    "output_intensity_closed_form", "period_matrix", "polarizability",
+    "rabi_peak_frequencies", "run_sweep", "spectrum_scan", "stack_coefficients",
+    "steady_state", "transmission_closed_form", "xi_parameter",
 }
 
 # prints the engine modules loaded after the imports, after parse_config and
@@ -49,7 +48,7 @@ print(json.dumps(steps))
 
 
 def test_public_names_resolve_to_their_modules():
-    assert len(bilattice.__all__) == 39 and set(bilattice.__all__) == PUBLIC_NAMES
+    assert len(bilattice.__all__) == 35 and set(bilattice.__all__) == PUBLIC_NAMES
     for name in bilattice.__all__:
         obj = getattr(bilattice, name)
         module = sys.modules[obj.__module__]
@@ -63,6 +62,22 @@ def test_public_names_resolve_to_their_modules():
         bilattice.no_such_name
     with pytest.raises(ImportError):
         exec("from bilattice import no_such_name", {})
+
+
+
+def test_readme_lists_the_public_names_by_module():
+    # README "Library use": a **`module`** line, then one - `name`: ... line per name
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    listed, module = {}, None
+    for line in section.splitlines():
+        if line.startswith("**`") and line.endswith("`**"):
+            module = line.strip("*`")
+        elif line.startswith("- `"):
+            listed.setdefault(module, []).append(line.split("`")[1])
+    assert {m: sorted(names) for m, names in listed.items()} == {
+        m: sorted(names) for m, names in bilattice._EXPORTS.items()
+    }
 
 
 @pytest.mark.parametrize(
