@@ -468,7 +468,7 @@ def _load_config(arg: str) -> str:
     path = Path(arg)
     if path.exists():
         try:
-            return path.read_text(encoding="utf-8")
+            return path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {arg!r}: {exc}") from None
     if arg.replace(".cfg", "") in BUNDLED_CONFIGS:

@@ -6,9 +6,11 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +277,163 @@ def test_clean_rewrite_removes_stale_sidecar(tmp_path):
     write_table(Table(["x"], [(1.0,)]), path)
     assert path.read_text() == "x\n1\n"
     assert not log.exists()
+
+
+
+# Destinations.  Every path lies under tmp_path: a wrong guard in the writer
+# would remove whatever file it is pointed at.
+
+OLD_TABLE, NEW_TABLE = Table(["x"], [(1.0,)]), Table(["x"], [(2.0,)])
+OLD_BYTES, NEW_BYTES = b"x\n1\n", b"x\n2\n"
+POSIX_IDS = pytest.mark.skipif(not hasattr(os, "geteuid"), reason="no POSIX user ids")
+AS_ROOT = hasattr(os, "geteuid") and os.geteuid() == 0
+
+
+def replaced(handle) -> bool:
+    """Whether the file under an open handle has lost its last name."""
+    return os.fstat(handle.fileno()).st_nlink == 0
+
+
+@POSIX_IDS
+def test_existing_output_is_replaced_by_a_new_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(OLD_TABLE, path)
+    with path.open("rb") as before:
+        write_table(NEW_TABLE, path)
+        assert before.read() == OLD_BYTES
+        assert replaced(before)
+    assert path.read_bytes() == NEW_BYTES
+
+
+@POSIX_IDS
+@pytest.mark.parametrize("mode", [0o640, 0o604, 0o755], ids=oct)
+def test_replaced_output_keeps_its_permission_bits(tmp_path, mode):
+    path = tmp_path / "t.csv"
+    write_table(OLD_TABLE, path)
+    path.chmod(mode)
+    with path.open("rb") as before:
+        write_table(NEW_TABLE, path)
+        assert replaced(before)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == NEW_BYTES
+
+
+@POSIX_IDS
+def test_replaced_output_keeps_its_group(tmp_path):
+    # a new file in a set-group-id directory takes the directory's group;
+    # the writer gives it the old file's group back
+    other = 1 if AS_ROOT else next((g for g in os.getgroups() if g != os.getegid()), None)
+    if other is None:
+        pytest.skip("needs a second group to give the directory")
+    folder = tmp_path / "shared"
+    folder.mkdir()
+    path = folder / "t.csv"
+    write_table(OLD_TABLE, path)
+    os.chown(folder, -1, other)
+    folder.chmod(0o2755)
+    (folder / "probe").touch()
+    assert (folder / "probe").stat().st_gid == other   # the directory hands out its group
+    with path.open("rb") as before:
+        write_table(NEW_TABLE, path)
+        assert replaced(before)
+    assert path.stat().st_gid == os.getegid()
+    assert path.read_bytes() == NEW_BYTES
+
+
+@pytest.mark.skipif(not AS_ROOT, reason="only root can give a file away")
+@pytest.mark.parametrize("uid, gid", [(65534, -1), (-1, 1)], ids=["user", "group"])
+def test_foreign_output_is_rewritten_in_place(tmp_path, uid, gid):
+    path = tmp_path / "t.csv"
+    write_table(OLD_TABLE, path)
+    os.chown(path, uid, gid)
+    owner = path.stat().st_uid, path.stat().st_gid
+    with path.open("rb") as before:
+        write_table(NEW_TABLE, path)
+        assert not replaced(before)
+        assert before.read() == NEW_BYTES
+    assert (path.stat().st_uid, path.stat().st_gid) == owner
+
+
+def test_symlinked_output_stays_a_symlink(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    write_table(OLD_TABLE, target)
+    link.symlink_to(target)
+    write_table(NEW_TABLE, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == NEW_BYTES
+
+
+def test_hard_linked_output_is_rewritten_under_both_names(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_table(OLD_TABLE, first)
+    os.link(first, second)
+    write_table(NEW_TABLE, first)
+    assert first.read_bytes() == second.read_bytes() == NEW_BYTES
+    assert first.stat().st_nlink == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_fifo_output_stays_a_fifo(tmp_path):
+    fifo = tmp_path / "t.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_table(NEW_TABLE, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [NEW_BYTES]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+@POSIX_IDS
+def test_stale_sidecar_follows_the_same_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    log = tmp_path / "t.csv.errors.log"
+    def failed(msg):
+        return Table(["x"], [(math.nan,)], {"errors": [{"error": msg}]})
+
+    write_table(failed("boom"), path)
+    log.chmod(0o640)
+    with log.open("rb") as before:
+        write_table(failed("bang"), path)
+        assert b"boom" in before.read() and replaced(before)
+    assert json.loads(log.read_text()) == {"error": "bang"}
+    assert stat.S_IMODE(log.stat().st_mode) == 0o640
+    # a symlinked sidecar is rewritten through the link
+    target = tmp_path / "kept.log"
+    log.rename(target)
+    log.symlink_to(target)
+    write_table(failed("crash"), path)
+    assert log.is_symlink() and json.loads(target.read_text()) == {"error": "crash"}
+
+
+@pytest.mark.skipif(AS_ROOT, reason="root writes past the mode bits")
+def test_read_only_output_still_fails_with_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_TRANSMIT)
+    out = tmp_path / "out.csv"
+    out.write_bytes(OLD_BYTES)
+    out.chmod(0o444)
+    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot write table" in capsys.readouterr().err
+    assert out.read_bytes() == OLD_BYTES
+
+
+@pytest.mark.skipif(AS_ROOT, reason="root removes past the mode bits")
+def test_output_in_a_directory_that_refuses_removal_is_overwritten(tmp_path):
+    folder = tmp_path / "locked"
+    folder.mkdir()
+    path = folder / "t.csv"
+    write_table(OLD_TABLE, path)
+    folder.chmod(0o555)
+    try:
+        with path.open("rb") as before:
+            write_table(NEW_TABLE, path)
+            assert not replaced(before)
+            assert before.read() == NEW_BYTES
+    finally:
+        folder.chmod(0o755)
 
 
 def test_cli_errors_go_to_stderr_with_stdout_output(tmp_path, capsys):
@@ -1047,6 +1206,16 @@ def test_cli_unreadable_config_file(tmp_path, capsys, kind):
     assert run_cli(["scan", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and str(path) in err and "Traceback" not in err
+
+
+def test_config_with_byte_order_mark_reads_as_without(tmp_path):
+    # a BOM-prefixed copy exited 1 with "unknown key(s): \ufeffengine"
+    plain, marked = tmp_path / "fig6.cfg", tmp_path / "fig6_bom.cfg"
+    plain.write_text(bundled_config_text("fig6"), encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for cfg in (plain, marked):
+        assert run_cli(["transmit", "--config", str(cfg), "--out", f"{cfg}.csv"]) == 0
+    assert Path(f"{marked}.csv").read_bytes() == Path(f"{plain}.csv").read_bytes()
 
 
 def test_cli_unwritable_output_is_numeric_failure_code(tmp_path, capsys):
