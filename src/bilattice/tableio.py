@@ -17,7 +17,8 @@ row-major, and the 0 padding deleted from its bytes by one
 as they are laid out, and they are those of per-value ``f"{v:.12g}"``
 (CSV) and of ``json.dumps(indent=1)`` over the rounded floats with NaN as
 null (JSON).  An existing output file of this user is written as a new
-file with its group and permission bits (``_open_new``).
+file with its group and permission bits, which leaves its writeback to
+the kernel's flusher (``_open_new``).
 """
 
 from __future__ import annotations
@@ -378,14 +379,21 @@ def write_table(table: Table, destination, fmt: str = "csv") -> None:
 def _open_new(path: Path):
     """``path`` opened for binary writing, from empty.
 
-    Truncating a file to zero makes the filesystem write the new data back
-    at ``close()`` (ext4's ``auto_da_alloc``; XFS and btrfs do the same),
-    which costs more than writing the table.  So a regular file with one
-    link that this user owns, can write and can give its group is removed
-    and created anew (``O_EXCL``) with its group and permission bits.
-    Every other destination -- a missing file, a symlink, a hard link, a
-    foreign file, a FIFO or device, a removal the directory refuses, a
-    platform without ``os.geteuid`` -- is opened with ``open("wb")``.
+    Truncating a file to zero makes the filesystem start writing the new
+    data back at ``close()`` (ext4's ``auto_da_alloc``; XFS and btrfs do the
+    same), in the writer's time.  So a regular file with one link that this
+    user owns, can write and can give its group is removed and created anew
+    with its group and permission bits.  That defers the writeback to the
+    kernel's flusher (within ``vm.dirty_expire_centisecs``, 30 s by
+    default); it saves it only if the file is replaced again first.  The
+    price is durability: a crash or power loss in that window can leave the
+    table empty or missing, old and new bytes both lost, where a file
+    truncated in place holds the new bytes after ext4's next journal commit
+    (about 5 s).  A file that another process creates between the removal
+    and the creation is truncated, as ``open("wb")`` would.  Every other
+    destination -- a missing file, a symlink, a hard link, a foreign file, a
+    FIFO or device, a removal the directory refuses, a platform without
+    ``os.geteuid`` -- is opened with ``open("wb")``.
     """
     try:
         st = os.lstat(path)
@@ -401,7 +409,7 @@ def _open_new(path: Path):
         replace = False
     if not replace:
         return path.open("wb")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     try:
         os.fchown(fd, -1, st.st_gid)
         os.fchmod(fd, stat.S_IMODE(st.st_mode))

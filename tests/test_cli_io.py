@@ -340,18 +340,45 @@ def test_replaced_output_keeps_its_group(tmp_path):
     assert path.read_bytes() == NEW_BYTES
 
 
+def foreign_gid() -> int:
+    """A group id that this process is not a member of."""
+    mine = {os.getegid(), *os.getgroups()}
+    return next(g for g in range(1, 65535) if g not in mine)
+
+
 @pytest.mark.skipif(not AS_ROOT, reason="only root can give a file away")
-@pytest.mark.parametrize("uid, gid", [(65534, -1), (-1, 1)], ids=["user", "group"])
-def test_foreign_output_is_rewritten_in_place(tmp_path, uid, gid):
+@pytest.mark.parametrize("foreign", ["user", "group"])
+def test_foreign_output_is_rewritten_in_place(tmp_path, foreign):
     path = tmp_path / "t.csv"
     write_table(OLD_TABLE, path)
-    os.chown(path, uid, gid)
+    if foreign == "user":
+        os.chown(path, 65534, -1)
+    else:
+        os.chown(path, -1, foreign_gid())
     owner = path.stat().st_uid, path.stat().st_gid
     with path.open("rb") as before:
         write_table(NEW_TABLE, path)
         assert not replaced(before)
         assert before.read() == NEW_BYTES
     assert (path.stat().st_uid, path.stat().st_gid) == owner
+
+
+@POSIX_IDS
+def test_output_created_by_another_process_after_removal_is_overwritten(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    write_table(OLD_TABLE, path)
+    unlink, raced = os.unlink, []
+
+    def unlink_then_recreate(target, *args, **kwargs):
+        unlink(target, *args, **kwargs)
+        Path(target).write_bytes(OLD_BYTES * 3)   # a racing writer
+        raced.append(target)
+
+    monkeypatch.setattr(os, "unlink", unlink_then_recreate)
+    write_table(NEW_TABLE, path)
+    monkeypatch.undo()
+    assert raced == [path]
+    assert path.read_bytes() == NEW_BYTES
 
 
 def test_symlinked_output_stays_a_symlink(tmp_path):
