@@ -349,6 +349,9 @@ def _parse(text: str) -> RunConfig:
         if not pmax < anchor:
             entries["probe_max"].fail(f"must keep every probe frequency below "
                                       f"{2 * anchor:.6g} rad/s (twice the line it detunes from)")
+        if engine == "cavity" and not anchor + pmin > 0:
+            entries["probe_min"].fail(f"must keep every probe frequency above 0 rad/s "
+                                      f"(probe_min > -omega_0 = {-anchor:.6g} rad/s)")
         spec_kwargs["probe_grid"] = anchor + np.linspace(pmin, pmax, npts)
 
     if engine == "cavity":

@@ -16,9 +16,7 @@ row-major, and the 0 padding deleted from its bytes by one
 ``bytes.translate`` (``_row_blocks``).  The bytes are written
 as they are laid out, and they are those of per-value ``f"{v:.12g}"``
 (CSV) and of ``json.dumps(indent=1)`` over the rounded floats with NaN as
-null (JSON).  An existing output file of this user is written as a new
-file with its group and permission bits, which leaves its writeback to
-the kernel's flusher (``_open_new``).
+null (JSON).
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ import functools
 import itertools
 import json
 import math
-import os
-import stat
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -364,59 +360,15 @@ def write_table(table: Table, destination, fmt: str = "csv") -> None:
     path = Path(destination)
     sidecar = Path(str(path) + ".errors.log")
     try:
-        with _open_new(path) as out:
+        with path.open("wb") as out:
             for chunk in chunks:
                 out.write(chunk)
     except OSError as exc:
         raise OSError(f"cannot write table to {path}: {exc}") from exc
     if log:
-        with _open_new(sidecar) as out:
-            out.write(log.encode("utf-8"))
+        sidecar.write_text(log, encoding="utf-8")
     else:
         sidecar.unlink(missing_ok=True)
-
-
-def _open_new(path: Path):
-    """``path`` opened for binary writing, from empty.
-
-    Truncating a file to zero makes the filesystem start writing the new
-    data back at ``close()`` (ext4's ``auto_da_alloc``; XFS and btrfs do the
-    same), in the writer's time.  So a regular file with one link that this
-    user owns, can write and can give its group is removed and created anew
-    with its group and permission bits.  That defers the writeback to the
-    kernel's flusher (within ``vm.dirty_expire_centisecs``, 30 s by
-    default); it saves it only if the file is replaced again first.  The
-    price is durability: a crash or power loss in that window can leave the
-    table empty or missing, old and new bytes both lost, where a file
-    truncated in place holds the new bytes after ext4's next journal commit
-    (about 5 s).  A file that another process creates between the removal
-    and the creation is truncated, as ``open("wb")`` would.  Every other
-    destination -- a missing file, a symlink, a hard link, a foreign file, a
-    FIFO or device, a removal the directory refuses, a platform without
-    ``os.geteuid`` -- is opened with ``open("wb")``.
-    """
-    try:
-        st = os.lstat(path)
-        replace = (
-            stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-            and st.st_uid == os.geteuid()
-            and (st.st_gid == os.getegid() or st.st_gid in os.getgroups())
-            and os.access(path, os.W_OK)
-        )
-        if replace:
-            os.unlink(path)
-    except (OSError, AttributeError):   # AttributeError: no os.geteuid
-        replace = False
-    if not replace:
-        return path.open("wb")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    try:
-        os.fchown(fd, -1, st.st_gid)
-        os.fchmod(fd, stat.S_IMODE(st.st_mode))
-    except OSError:
-        os.close(fd)
-        raise
-    return open(fd, "wb")
 
 
 def _jsonable(obj):

@@ -280,12 +280,11 @@ def test_clean_rewrite_removes_stale_sidecar(tmp_path):
 
 
 
-# Destinations.  Every path lies under tmp_path: a wrong guard in the writer
-# would remove whatever file it is pointed at.
+# Destinations.  Every path lies under tmp_path: the writer truncates
+# whatever file it is pointed at.
 
 OLD_TABLE, NEW_TABLE = Table(["x"], [(1.0,)]), Table(["x"], [(2.0,)])
 OLD_BYTES, NEW_BYTES = b"x\n1\n", b"x\n2\n"
-POSIX_IDS = pytest.mark.skipif(not hasattr(os, "geteuid"), reason="no POSIX user ids")
 AS_ROOT = hasattr(os, "geteuid") and os.geteuid() == 0
 
 
@@ -294,50 +293,28 @@ def replaced(handle) -> bool:
     return os.fstat(handle.fileno()).st_nlink == 0
 
 
-@POSIX_IDS
-def test_existing_output_is_replaced_by_a_new_file(tmp_path):
+def test_existing_output_is_rewritten_in_place(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(OLD_TABLE, path)
-    with path.open("rb") as before:
-        write_table(NEW_TABLE, path)
-        assert before.read() == OLD_BYTES
-        assert replaced(before)
-    assert path.read_bytes() == NEW_BYTES
+    log = tmp_path / "t.csv.errors.log"
+    def failed(value, msg):
+        return Table(["x"], [(value,)], {"errors": [{"error": msg}]})
 
-
-@POSIX_IDS
-@pytest.mark.parametrize("mode", [0o640, 0o604, 0o755], ids=oct)
-def test_replaced_output_keeps_its_permission_bits(tmp_path, mode):
-    path = tmp_path / "t.csv"
-    write_table(OLD_TABLE, path)
-    path.chmod(mode)
-    with path.open("rb") as before:
-        write_table(NEW_TABLE, path)
-        assert replaced(before)
-    assert stat.S_IMODE(path.stat().st_mode) == mode
-    assert path.read_bytes() == NEW_BYTES
-
-
-@POSIX_IDS
-def test_replaced_output_keeps_its_group(tmp_path):
-    # a new file in a set-group-id directory takes the directory's group;
-    # the writer gives it the old file's group back
-    other = 1 if AS_ROOT else next((g for g in os.getgroups() if g != os.getegid()), None)
-    if other is None:
-        pytest.skip("needs a second group to give the directory")
-    folder = tmp_path / "shared"
-    folder.mkdir()
-    path = folder / "t.csv"
-    write_table(OLD_TABLE, path)
-    os.chown(folder, -1, other)
-    folder.chmod(0o2755)
-    (folder / "probe").touch()
-    assert (folder / "probe").stat().st_gid == other   # the directory hands out its group
-    with path.open("rb") as before:
-        write_table(NEW_TABLE, path)
-        assert replaced(before)
-    assert path.stat().st_gid == os.getegid()
-    assert path.read_bytes() == NEW_BYTES
+    write_table(failed(1.0, "boom"), path)
+    for output in (path, log):
+        output.chmod(0o640)
+    with path.open("rb") as table, log.open("rb") as sidecar:
+        write_table(failed(2.0, "bang"), path)
+        assert table.read() == NEW_BYTES
+        assert json.loads(sidecar.read()) == {"error": "bang"}
+        for handle, output in ((table, path), (sidecar, log)):
+            assert os.fstat(handle.fileno()).st_nlink == 1
+            assert stat.S_IMODE(output.stat().st_mode) == 0o640
+    # a symlinked sidecar is rewritten through the link
+    target = tmp_path / "kept.log"
+    log.rename(target)
+    log.symlink_to(target)
+    write_table(failed(2.0, "crash"), path)
+    assert log.is_symlink() and json.loads(target.read_text()) == {"error": "crash"}
 
 
 def foreign_gid() -> int:
@@ -361,24 +338,6 @@ def test_foreign_output_is_rewritten_in_place(tmp_path, foreign):
         assert not replaced(before)
         assert before.read() == NEW_BYTES
     assert (path.stat().st_uid, path.stat().st_gid) == owner
-
-
-@POSIX_IDS
-def test_output_created_by_another_process_after_removal_is_overwritten(tmp_path, monkeypatch):
-    path = tmp_path / "t.csv"
-    write_table(OLD_TABLE, path)
-    unlink, raced = os.unlink, []
-
-    def unlink_then_recreate(target, *args, **kwargs):
-        unlink(target, *args, **kwargs)
-        Path(target).write_bytes(OLD_BYTES * 3)   # a racing writer
-        raced.append(target)
-
-    monkeypatch.setattr(os, "unlink", unlink_then_recreate)
-    write_table(NEW_TABLE, path)
-    monkeypatch.undo()
-    assert raced == [path]
-    assert path.read_bytes() == NEW_BYTES
 
 
 def test_symlinked_output_stays_a_symlink(tmp_path):
@@ -411,28 +370,6 @@ def test_fifo_output_stays_a_fifo(tmp_path):
     assert not reader.is_alive()
     assert got == [NEW_BYTES]
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-
-
-@POSIX_IDS
-def test_stale_sidecar_follows_the_same_rule(tmp_path):
-    path = tmp_path / "t.csv"
-    log = tmp_path / "t.csv.errors.log"
-    def failed(msg):
-        return Table(["x"], [(math.nan,)], {"errors": [{"error": msg}]})
-
-    write_table(failed("boom"), path)
-    log.chmod(0o640)
-    with log.open("rb") as before:
-        write_table(failed("bang"), path)
-        assert b"boom" in before.read() and replaced(before)
-    assert json.loads(log.read_text()) == {"error": "bang"}
-    assert stat.S_IMODE(log.stat().st_mode) == 0o640
-    # a symlinked sidecar is rewritten through the link
-    target = tmp_path / "kept.log"
-    log.rename(target)
-    log.symlink_to(target)
-    write_table(failed("crash"), path)
-    assert log.is_symlink() and json.loads(target.read_text()) == {"error": "crash"}
 
 
 @pytest.mark.skipif(AS_ROOT, reason="root writes past the mode bits")
@@ -1030,6 +967,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("gaps", bundled_config_text("fig4").replace("window_min = -800 gamma",
                                                      "window_min = -1e300 gamma"),
          "line 14: key 'window_min': must put the window above 0"),
+        ("cavity", bundled_config_text("fig9").replace("probe_min = -60 gamma",
+                                                       "probe_min = -7e7 gamma")
+                                              .replace("probe_max = 60 gamma",
+                                                       "probe_max = -6e7 gamma"),
+         "line 17: key 'probe_min': must keep every probe frequency above 0 rad/s"),
         # n-bar atoms per mode area overflow: the occupancy is at fault, not the waist
         ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 1e305"),
          "line 13: key 'occupancy': ValueError: areal density must be positive and finite"),
