@@ -293,22 +293,43 @@ def replaced(handle) -> bool:
     return os.fstat(handle.fileno()).st_nlink == 0
 
 
+def failed(value, msg) -> Table:
+    """A one-row table whose run logged one error, so it has a sidecar."""
+    return Table(["x"], [(value,)], {"errors": [{"error": msg}]})
+
+
 def test_existing_output_is_rewritten_in_place(tmp_path):
     path = tmp_path / "t.csv"
-    log = tmp_path / "t.csv.errors.log"
-    def failed(value, msg):
-        return Table(["x"], [(value,)], {"errors": [{"error": msg}]})
+    write_table(OLD_TABLE, path)
+    with path.open("rb") as before:
+        write_table(NEW_TABLE, path)
+        assert before.read() == NEW_BYTES
+        assert not replaced(before)
+    assert path.stat().st_nlink == 1
 
+
+@pytest.mark.parametrize("mode", [0o640, 0o604, 0o755], ids=oct)
+def test_replaced_output_keeps_its_permission_bits(tmp_path, mode):
+    path = tmp_path / "t.csv"
+    log = tmp_path / "t.csv.errors.log"
     write_table(failed(1.0, "boom"), path)
     for output in (path, log):
-        output.chmod(0o640)
-    with path.open("rb") as table, log.open("rb") as sidecar:
+        output.chmod(mode)
+    write_table(failed(2.0, "bang"), path)
+    for output in (path, log):
+        assert stat.S_IMODE(output.stat().st_mode) == mode
+    assert path.read_bytes() == NEW_BYTES
+
+
+def test_stale_sidecar_follows_the_same_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    log = tmp_path / "t.csv.errors.log"
+    write_table(failed(1.0, "boom"), path)
+    with log.open("rb") as before:
         write_table(failed(2.0, "bang"), path)
-        assert table.read() == NEW_BYTES
-        assert json.loads(sidecar.read()) == {"error": "bang"}
-        for handle, output in ((table, path), (sidecar, log)):
-            assert os.fstat(handle.fileno()).st_nlink == 1
-            assert stat.S_IMODE(output.stat().st_mode) == 0o640
+        assert json.loads(before.read()) == {"error": "bang"}
+        assert not replaced(before)
+    assert log.stat().st_nlink == 1
     # a symlinked sidecar is rewritten through the link
     target = tmp_path / "kept.log"
     log.rename(target)
