@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +51,10 @@ from .core import LatticeConfig, freespace_coupling
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """Coupled-mode matrix at one quasi-momentum (basis: b_q, d_q, {a_{q+G}})."""
+    """Coupled-mode matrix at one quasi-momentum (basis: b_q, d_q, then a_{q+G}
+    for G = 2 pi m / a, m = -n_bz ... n_bz)."""
 
     quasi_momentum: float           # q [rad/m], inside the first BZ
-    reciprocal_indices: np.ndarray  # m values of the retained G = 2 pi m / a
     matrix: np.ndarray              # (n_G + 2) x (n_G + 2) complex Hermitian
 
 
@@ -99,9 +99,7 @@ def build_bloch_matrix(q: float, cfg: LatticeConfig, n_bz: int = DEFAULT_N_BZ) -
             f"quasi-momentum {q} outside first BZ, folded to {folded}", stacklevel=2
         )
         q = folded
-    h = _assemble_stack(cfg, np.array([q]), n_bz)[0]
-    ms = np.arange(-n_bz, n_bz + 1)
-    return BlochMatrix(q, ms, h)
+    return BlochMatrix(q, _assemble_stack(cfg, np.array([q]), n_bz)[0])
 
 
 def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
@@ -313,9 +311,8 @@ def _count_below(omega, detuned, weights, atoms) -> np.ndarray:
 class RhoScanEntry:
     """Gap inventory at one intracell distance, numeric and (if valid) analytic."""
 
-    rho: float                               # [m]
     gaps: list[Gap]
-    analytic_edges: tuple[float, float, float, float] | None = field(default=None)
+    analytic_edges: tuple[float, float, float, float] | None = None
 
     @property
     def analytic_widths(self) -> tuple[float, float] | None:
@@ -334,7 +331,8 @@ class GapScan:
     of the symmetric n_q grid (or on ``q_grid``): by time reversal it holds
     every band's min and max, all that ``find_gaps`` reads.  Its analytic
     edges are filled only when the species share a transition frequency,
-    the formula's domain.  A given ``window`` must be finite and increasing;
+    the formula's domain.  A rho outside [0, a] raises the ``ValueError`` of
+    ``LatticeConfig``.  A given ``window`` must be finite and increasing;
     bands are found in it padded by cover_tol plus a linewidth (``lower``,
     ``upper``), so that clamped values never set a gap edge.
 
@@ -504,13 +502,11 @@ class GapScan:
 
     def entry(self, rho: float) -> RhoScanEntry:
         """Numeric and (if valid) analytic gap inventory at intracell distance rho."""
-        if not 0.0 <= rho <= self.cfg.cell_size:
-            raise ValueError(f"rho = {rho} outside [0, a]")
         local = self.cfg.replace(intracell_distance=float(rho))
         bands = self.window_bands(local.intracell_distance)
         bs = BandStructure(self.q_grid, bands, self.n_bz, local)
         gaps = find_gaps(bs, self.window, self.cover_tol, self.min_band_width)
-        return RhoScanEntry(float(rho), gaps, analytic_band_edges(local) if self._analytic else None)
+        return RhoScanEntry(gaps, analytic_band_edges(local) if self._analytic else None)
 
 
 def gap_widths_vs_rho(
@@ -523,6 +519,7 @@ def gap_widths_vs_rho(
     min_band_width: float = 0.0,
 ) -> list[RhoScanEntry]:
     """Numeric (full BZ sweep) and analytic gap widths on a grid of rho
-    values: the list form of ``GapScan``, one plan and one entry per rho."""
+    values: the list form of ``GapScan``, one plan and one entry per rho, in
+    the order of ``rho_grid``."""
     scan = GapScan(cfg, window, n_bz, n_q, cover_tol, min_band_width)
     return [scan.entry(rho) for rho in rho_grid]

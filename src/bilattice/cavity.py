@@ -302,8 +302,6 @@ def extract_peaks(probe_grid: np.ndarray, intensity: np.ndarray) -> list[float]:
 
 
 class CavityScanCell(NamedTuple):
-    rho: float
-    phi: float
     intensities: np.ndarray
     peaks: list[float]
     predicted_peaks: tuple[float, float]
@@ -322,7 +320,8 @@ def cavity_spectrum_scan(
     Each cell's spectrum is one array evaluation over the probe grid.
     Predicted peak positions come from the strong-coupling two-peak formula
     with the same effective M R as the scan cell.  Cells come back in
-    lexicographic (rho, phi) order.
+    lexicographic (rho, phi) grid order: cell i * len(phi_values) + j is
+    (rho_values[i], phi_values[j]).
     """
     if len(probe_grid) == 0 or len(rho_values) == 0 or len(phi_values) == 0:
         raise ValueError("empty scan grid")
@@ -336,6 +335,6 @@ def cavity_spectrum_scan(
         predicted = rabi_peak_frequencies(
             local.mode_frequency, species_even.transition_frequency, local.cell_count, r_eff
         )
-        return CavityScanCell(rho, phi, intensity, extract_peaks(probe, intensity), predicted)
+        return CavityScanCell(intensity, extract_peaks(probe, intensity), predicted)
 
     return [run_cell(rho, phi) for rho in rho_values for phi in phi_values]

@@ -352,7 +352,11 @@ def _parse(text: str) -> RunConfig:
         if engine == "cavity" and not anchor + pmin > 0:
             entries["probe_min"].fail(f"must keep every probe frequency above 0 rad/s "
                                       f"(probe_min > -omega_0 = {-anchor:.6g} rad/s)")
-        spec_kwargs["probe_grid"] = anchor + np.linspace(pmin, pmax, npts)
+        grid = anchor + np.linspace(pmin, pmax, npts)
+        if not np.all(grid[1:] > grid[:-1]):
+            entries["probe_max"].fail(f"must give {npts} distinct probe frequencies "
+                                      f"at float resolution around {anchor:.6g} rad/s")
+        spec_kwargs["probe_grid"] = grid
 
     if engine == "cavity":
         from .cavity import CavityConfig
@@ -431,8 +435,9 @@ def _parse(text: str) -> RunConfig:
                 raise ConfigError("give both or neither of window_min/window_max")
             if "window_min" in entries:
                 low, high = get("window_min"), get("window_max")
-                if high <= low:
-                    entries["window_max"].fail("must exceed window_min")
+                if not omega0 + low < omega0 + high:
+                    entries["window_max"].fail("must exceed window_min at float "
+                                               f"resolution around omega_0 = {omega0:.6g} rad/s")
                 # the photon basis holds modes up to about (n_bz + 1/2) omega_0
                 if not omega0 + low > 0:
                     entries["window_min"].fail("must put the window above 0 rad/s")

@@ -36,30 +36,14 @@ from .sweep import Table
 _CHUNK = 4096        # values rendered per call; bounds the transient arrays
 _BLOCK_ROWS = 1024   # rows laid out at a time; bounds the row-major copies
 _NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-_POSITIONAL_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
 
 
 def _json_number(s: str) -> str:
     """JSON token of a ``%.12g`` string: json.dumps(float(s)), NaN as null.
 
-    Most strings are their own token.  These are not: exponents 12 to 15,
-    which repr writes positionally ('2.4149e+15' -> '2414900000000000.0');
-    exponents -308 and below, where the subnormals are and repr can be
-    shorter ('4.1000000002e-314' -> '4.1e-314'; every exponent starting
-    with -3 takes that path); NaN and the infinities; and integer values
-    ('3' -> '3.0').
+    For a finite float, json.dumps writes its repr.
     """
-    if s[-4:] in _POSITIONAL_EXPONENTS:
-        # an integer of at most 12 significant digits, exact as a double,
-        # so its fixed-point form is its repr (and '%d' is faster to produce)
-        return "%d.0" % float(s)
-    if "e-3" in s:
-        return repr(float(s))
-    if "n" in s:
-        return _NON_FINITE[s]
-    if "e" not in s and "." not in s:
-        return s + ".0"
-    return s
+    return _NON_FINITE.get(s) or repr(float(s))
 
 
 # The renderer's certified range: 1e-33 <= |x| < 1e55, decimal exponents

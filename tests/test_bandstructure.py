@@ -711,7 +711,7 @@ def test_rho_scan_symmetric_about_half_cell(omega0):
 
 def test_rho_scan_rejects_out_of_cell(omega0):
     cfg = make_lattice(omega0, cells=100)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="0 <= rho <= a"):
         gap_widths_vs_rho(cfg, [1.5 * cfg.cell_size], n_bz=4, n_q=11)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -344,9 +345,14 @@ def test_scan_grid_order(omega0, lattice):
     cells = cavity_spectrum_scan(
         cav, lattice.species_even, lattice.species_odd, probe, rhos, phis
     )
-    assert [(c.rho, c.phi) for c in cells] == [
-        (r, p) for r in rhos for p in phis
-    ]
+    grid = [(r, p) for r in rhos for p in phis]
+    assert len(cells) == len(grid)
+    for cell, (rho, phi) in zip(cells, grid):
+        local = dataclasses.replace(cav, phase=phi)
+        expected = output_intensity(local, lattice.species_even, lattice.species_odd, probe, rho)
+        assert np.array_equal(cell.intensities, expected)
+    # the four spectra differ, so no other order passes
+    assert len({c.intensities.tobytes() for c in cells}) == len(grid)
 
 
 def test_quadratic_peak_refinement():

@@ -753,6 +753,19 @@ def test_token_slots_match_per_value_formatting(values):
         assert tokens(values, json_tokens) == [oracle_token(v, json_tokens) for v in values]
 
 
+@settings(max_examples=2000, deadline=None)
+@given(v=st.one_of(
+    st.floats(),
+    specials,
+    st.integers(-2**53, 2**53).map(float),
+    st.builds(lambda x, sign: sign * x, st.floats(1e12, 1e16, exclude_max=True), signs),
+))
+def test_json_number_is_json_dumps_of_the_rounded_float(v):
+    # the token of each value the renderer leaves to '%.12g'
+    s = "%.12g" % v
+    assert tableio._json_number(s) == ("null" if math.isnan(v) else json.dumps(float(s)))
+
+
 def test_fallback_renders_only_near_ties_of_certified_range(monkeypatch):
     # log-uniform over the range the renderer certifies: only values within
     # 1e-3 of a rounding tie (0.2%) leave the numpy path for '%.12g'
@@ -993,6 +1006,25 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
                                               .replace("probe_max = 60 gamma",
                                                        "probe_max = -6e7 gamma"),
          "line 17: key 'probe_min': must keep every probe frequency above 0 rad/s"),
+        # offsets that differ but vanish in the sum with omega_0: the window
+        # stopped only at SweepSpec, naming no key, and the probe grid ran as
+        # five identical rows
+        ("gaps", bundled_config_text("fig4").replace("window_min = -800 gamma",
+                                                     "window_min = 0 gamma")
+                                            .replace("window_max = 800 gamma",
+                                                     "window_max = 1e-9 gamma"),
+         "line 15: key 'window_max': must exceed window_min at float resolution"),
+        *(
+            (command, bundled_config_text(name).replace(f"probe_min = -{span} gamma",
+                                                        "probe_min = 0 gamma")
+                                               .replace(f"probe_max = {span} gamma",
+                                                        "probe_max = 1e-9 gamma")
+                                               .replace("probe_points = 4801",
+                                                        "probe_points = 5"),
+             f"line {line}: key 'probe_max': must give 5 distinct probe frequencies")
+            for command, name, span, line in (("transmit", "fig6", 600, 12),
+                                              ("cavity", "fig9", 60, 18))
+        ),
         # n-bar atoms per mode area overflow: the occupancy is at fault, not the waist
         ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 1e305"),
          "line 13: key 'occupancy': ValueError: areal density must be positive and finite"),

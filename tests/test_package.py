@@ -65,12 +65,15 @@ def test_public_names_resolve_to_their_modules():
 
 
 
+def library_use_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_lists_the_public_names_by_module():
     # README "Library use": a **`module`** line, then one - `name`: ... line per name
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
     listed, module = {}, None
-    for line in section.splitlines():
+    for line in library_use_section().splitlines():
         if line.startswith("**`") and line.endswith("`**"):
             module = line.strip("*`")
         elif line.startswith("- `"):
@@ -78,6 +81,20 @@ def test_readme_lists_the_public_names_by_module():
     assert {m: sorted(names) for m, names in listed.items()} == {
         m: sorted(names) for m, names in bilattice._EXPORTS.items()
     }
+
+
+def test_readme_library_example_runs():
+    # the one Python block of README "Library use", as a user would run it
+    blocks = library_use_section().split("```python\n")[1:]
+    assert len(blocks) == 1
+    src = Path(bilattice.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+         "-c", blocks[0].split("```", 1)[0]],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
