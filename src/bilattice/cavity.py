@@ -49,8 +49,8 @@ from .core import AtomSpecies, cavity_coupling
 class CavityConfig:
     """Standing-wave resonator probed through one mirror.
 
-    ``linewidth`` is the half-width kappa (rad/s).  ``plane_count`` is the
-    number of lattice planes inside the mode (M = plane_count/2 cells);
+    ``linewidth`` is the half-width kappa (rad/s).  ``cell_count`` is the
+    number M of lattice cells (two planes each) inside the mode;
     ``occupancy`` the mean atom number per site.
     """
 
@@ -60,21 +60,17 @@ class CavityConfig:
     waist: float                   # w_c [m]
     phase: float                   # phi [rad], mode lattice vs atomic lattice
     pump: float                    # eta [rad/s-scaled drive amplitude]
-    plane_count: int               # N lattice planes inside the mode
+    cell_count: int                # M lattice cells inside the mode
     commensurate: bool
     occupancy: float = 1.0         # n-bar atoms per site
 
     def __post_init__(self):
         if self.linewidth <= 0 or self.length <= 0 or self.waist <= 0:
             raise ValueError("kappa, length and waist must be positive")
-        if self.plane_count < 2 or self.plane_count % 2:
-            raise ValueError("plane count must be a positive even number")
+        if self.cell_count < 1:
+            raise ValueError("need at least one cell")
         if self.occupancy <= 0:
             raise ValueError("site occupancy must be positive")
-
-    @property
-    def cell_count(self) -> int:
-        return self.plane_count // 2
 
     @property
     def wavevector(self) -> float:

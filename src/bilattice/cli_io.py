@@ -216,10 +216,11 @@ class _Entry:
 
     @contextlib.contextmanager
     def blamed(self):
-        """Report a ValueError or ArithmeticError of the block as this key's."""
+        """Report a ValueError, ArithmeticError or MemoryError of the block
+        as this key's."""
         try:
             yield
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, MemoryError) as exc:
             self.fail(f"{type(exc).__name__}: {exc}")
 
     def finite(self, value: float, what: str) -> float:
@@ -314,7 +315,8 @@ def _parse(text: str) -> RunConfig:
         raise ConfigError("give only one of rho, rho_values, rho_min/rho_max/rho_points")
     rho_values = get("rho_values", None)
     if ranged:
-        rho_values = np.linspace(get("rho_min"), get("rho_max"), get("rho_points"))
+        with entries["rho_points"].blamed():
+            rho_values = np.linspace(get("rho_min"), get("rho_max"), get("rho_points"))
     if rho_values is None and "rho" not in entries:
         raise ConfigError("missing required key 'rho' (or 'rho_values', or a rho range)")
     rho = get("rho") if rho_values is None else float(rho_values[0])
@@ -352,7 +354,8 @@ def _parse(text: str) -> RunConfig:
         if engine == "cavity" and not anchor + pmin > 0:
             entries["probe_min"].fail(f"must keep every probe frequency above 0 rad/s "
                                       f"(probe_min > -omega_0 = {-anchor:.6g} rad/s)")
-        grid = anchor + np.linspace(pmin, pmax, npts)
+        with entries["probe_points"].blamed():
+            grid = anchor + np.linspace(pmin, pmax, npts)
         if not np.all(grid[1:] > grid[:-1]):
             entries["probe_max"].fail(f"must give {npts} distinct probe frequencies "
                                       f"at float resolution around {anchor:.6g} rad/s")
@@ -375,7 +378,7 @@ def _parse(text: str) -> RunConfig:
             phase=get("phase") if phi_values is None else float(phi_values[0]),
             # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
             pump=get("pump", 1.0),
-            plane_count=2 * cell_count,
+            cell_count=cell_count,
             commensurate=get("commensurate", True),
             occupancy=get("occupancy", 1.0),
         )
@@ -522,7 +525,8 @@ def main(argv=None) -> int:
     try:
         table = run_sweep(cfg.sweep)
         write_table(table, args.out, args.format)
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, OSError, Warning) as exc:
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, OSError, MemoryError,
+            Warning) as exc:
         print(f"numeric/runtime failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -2,16 +2,16 @@
 
 A table's values are floats, held as cells (see ``sweep.Table``): a
 constant prefix per grid cell plus column arrays, some of them shared by
-every cell.  ``write_table`` joins each prefix and each distinct column
-object into one value vector per table and renders it, up to 4096 values
-per numpy pass, into a slot-major byte matrix: one row per character slot,
-one column per value, 0 where a token leaves a slot empty
-(``_token_slots``).  A value's 12 significant digits come from exact
-integer arithmetic on the scaled value; the values within 1e-3 of a
-rounding tie or next to a decade edge, zeros, non-finite values and |x|
-outside [1e-33, 1e55) are formatted one by one with ``"%.12g" % v``.  The
-rows are then laid out from those bytes a block of rows at a time: each
-column's slot rows, with constant rows for the separators, transposed to
+every cell.  ``write_table`` joins each distinct column object into one
+value vector per table and renders it, up to 4096 values per numpy pass,
+into a slot-major byte matrix: one row per character slot, one column per
+value, 0 where a token leaves a slot empty (``_token_slots``).  A value's
+12 significant digits come from exact integer arithmetic on the scaled
+value; the values within 1e-3 of a rounding tie or next to a decade edge,
+zeros, non-finite values and |x| outside [1e-33, 1e55) are formatted one
+by one (``_token``), as is each cell's prefix.  The rows are then laid out
+from those bytes a block of rows at a time: each column's slot rows, with
+constant rows for the cell's lead and the separators, transposed to
 row-major, and the 0 padding deleted from its bytes by one
 ``bytes.translate`` (``_row_blocks``).  The bytes are written
 as they are laid out, and they are those of per-value ``f"{v:.12g}"``
@@ -44,6 +44,12 @@ def _json_number(s: str) -> str:
     For a finite float, json.dumps writes its repr.
     """
     return _NON_FINITE.get(s) or repr(float(s))
+
+
+def _token(v, json_tokens: bool) -> str:
+    """The token of one value: ``"%.12g" % v``, or its JSON number."""
+    s = "%.12g" % v
+    return _json_number(s) if json_tokens else s
 
 
 # The renderer's certified range: 1e-33 <= |x| < 1e55, decimal exponents
@@ -117,7 +123,7 @@ def _token_slots(values, json_tokens: bool) -> np.ndarray:
     A finite value with 1e-33 <= |x| < 1e55 is rendered from its 12-digit
     significand m, which integer arithmetic gets exactly unless the scaled
     value sits near a rounding tie or a decade edge; those values, and
-    every other one, take ``"%.12g" % v`` (and ``_json_number``) one by one.
+    every other one, take ``_token`` one by one.
     Every step is a numpy call over all the values, so the number of calls
     does not grow with their count.
     """
@@ -180,10 +186,7 @@ def _token_slots(values, json_tokens: bool) -> np.ndarray:
 
     slow = np.flatnonzero(~fast)
     if len(slow):
-        strings = ["%.12g" % v for v in x[slow].tolist()]
-        if json_tokens:
-            strings = [_json_number(s) for s in strings]
-        slots[:, slow] = _slots(strings, g.width)
+        slots[:, slow] = _slots([_token(v, json_tokens) for v in x[slow].tolist()], g.width)
     return slots
 
 
@@ -207,12 +210,6 @@ def _rendered(parts, json_tokens: bool) -> list[np.ndarray]:
     return mats
 
 
-def _token_bytes(mat: np.ndarray, i: int) -> bytes:
-    """The token in column i of a slot matrix."""
-    column = mat[:, i]
-    return column[column != 0].tobytes()
-
-
 class _Layout(NamedTuple):
     head: bytes   # ahead of a row's first value
     sep: bytes    # between two values of a row
@@ -230,13 +227,14 @@ _LAYOUTS = {
 def _row_blocks(table: Table, fmt: str):
     """The table's rows as bytes, ``_BLOCK_ROWS`` rows at a time.
 
-    The shapes are checked and every value is rendered (see ``_rendered``)
-    before the first block is returned.  A block is laid out slot-major
-    from each column's slot rows over the block's rows and constant rows
-    for the cell's lead (the row head and its prefix tokens) and the
-    separators, then transposed to row-major.  No token, separator or head
-    holds a 0 byte, so deleting the 0 padding from the block's bytes
-    (``bytes.translate``, one C pass) leaves the rows' bytes.
+    The shapes are checked and every value is rendered (the columns by
+    ``_rendered``, the prefixes by ``_token``) before the first block is
+    returned.  A block is laid out slot-major from each column's slot rows
+    over the block's rows and constant rows for the cell's lead (the row
+    head and its prefix tokens) and the separators, then transposed to
+    row-major.  No token, separator or head holds a 0 byte, so deleting the
+    0 padding from the block's bytes (``bytes.translate``, one C pass)
+    leaves the rows' bytes.
     """
     cells = [cell for cell in table.cells if cell.columns and len(cell.columns[0])]
     for prefix, columns in cells:
@@ -246,20 +244,20 @@ def _row_blocks(table: Table, fmt: str):
                 f"a cell of {len(prefix)} prefix values and columns of lengths "
                 f"{[len(c) for c in columns]} in a table of {len(table.columns)} columns"
             )
-    # what to render: each distinct prefix and column object once, as
-    # parts[index[id]]
+    # what to render: each distinct column object once, as parts[index[id]]
     parts, index = [], {}
     for cell in cells:
-        for values in (cell.prefix, *cell.columns):
+        for values in cell.columns:
             if id(values) not in index:
                 index[id(values)] = len(parts)
                 parts.append(np.asarray(values, dtype=float))
-    mats = _rendered(parts, fmt == "json")
-
-    def slots(values) -> np.ndarray:
-        return mats[index[id(values)]]
-
+    json_tokens = fmt == "json"
+    mats = _rendered(parts, json_tokens)
     layout = _LAYOUTS[fmt]
+    leads = [
+        layout.head + b"".join(_token(v, json_tokens).encode() + layout.sep for v in prefix)
+        for prefix, _ in cells
+    ]
 
     @functools.cache
     def constant(data: bytes, n: int) -> np.ndarray:
@@ -268,16 +266,12 @@ def _row_blocks(table: Table, fmt: str):
 
     def blocks():
         skip = layout.skip
-        for prefix, columns in cells:
+        for (_, columns), lead in zip(cells, leads):
             n = len(columns[0])
-            lead = slots(prefix)
-            head = layout.head + b"".join(
-                _token_bytes(lead, j) + layout.sep for j in range(len(prefix))
-            )
             sep = constant(layout.sep, n)
-            sources = [constant(head, n)]
+            sources = [constant(lead, n)]
             for column in columns:
-                sources += [slots(column), sep]
+                sources += [mats[index[id(column)]], sep]
             sources[-1] = constant(layout.tail, n)
             width = sum(map(len, sources))
             for lo in range(0, n, _BLOCK_ROWS):
@@ -316,12 +310,12 @@ def _payload(table: Table, fmt: str):
 def write_table(table: Table, destination, fmt: str = "csv") -> None:
     """Serialize a sweep table as CSV or JSON (12 significant digits).
 
-    Values are floats (see ``Table``).  Every prefix and each distinct
-    column object is rendered once per table, as one value vector (see
-    ``_rendered``), and the rows are laid out from the rendered bytes a
-    block of rows at a time (see ``_row_blocks``) and written as they are
-    laid out.  The bytes are those of formatting every
-    value of every row as ``f"{v:.12g}"`` (CSV) or of
+    Values are floats (see ``Table``).  Each distinct column object is
+    rendered once per table, as one value vector (see ``_rendered``), and
+    each cell's prefix value by value (``_token``); the rows are laid out
+    from the rendered bytes a block of rows at a time (see ``_row_blocks``)
+    and written as they are laid out.  The bytes are those of formatting
+    every value of every row as ``f"{v:.12g}"`` (CSV) or of
     ``json.dumps(indent=1)`` over ``float(f"{v:.12g}")`` with NaN as null
     (JSON).  A misshapen table raises ``ValueError`` before anything is
     written.

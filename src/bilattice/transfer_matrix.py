@@ -84,7 +84,6 @@ class Spectrum(NamedTuple):
     reason under its grid index in ``errors``.
     """
 
-    omega_p: np.ndarray        # [rad/s]
     detuning: np.ndarray       # (omega_p - omega_even) / gamma_even
     transmitted: np.ndarray    # T = |t|^2
     reflected: np.ndarray      # R = |r|^2
@@ -239,6 +238,5 @@ def spectrum_scan(cfg: LatticeConfig, probe_grid: Sequence[float]) -> Spectrum:
     }
     transmitted[~valid] = reflected[~valid] = absorbed[~valid] = np.nan
     return Spectrum(
-        omega, (omega - sp.transition_frequency) / sp.linewidth,
-        transmitted, reflected, absorbed, errors,
+        (omega - sp.transition_frequency) / sp.linewidth, transmitted, reflected, absorbed, errors
     )

@@ -9,19 +9,25 @@ than in the package:
   ``period_matrix``;
 * ``transmission_asymptotic`` -- the deep-gap limit of ``stack_coefficients``;
 * ``cooperativity`` -- the collective cooperativity M R / (kappa gamma);
+* ``fabry_perot_transmission`` -- the lattice in a two-mirror resonator,
+  built from transfer matrices: the independent route to the cavity
+  engine's ``intensity_norm``;
 * ``read_table`` -- reads back what ``tableio.write_table`` wrote.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from bilattice.constants import C
 from bilattice.sweep import Table
-from bilattice.transfer_matrix import ScatterMatrix, _cos_sin, dimer_matrix
+from bilattice.transfer_matrix import ScatterMatrix, _cos_sin, dimer_matrix, period_matrix
 
 
 def as_array(m: ScatterMatrix) -> np.ndarray:
@@ -64,6 +70,46 @@ def transmission_asymptotic(cfg, omega_p: float, n: int) -> AsymptoticTransmissi
 def cooperativity(cell_count: int, coupling_sq: float, kappa: float, gamma: float) -> float:
     """Collective cooperativity M R / (kappa gamma)."""
     return cell_count * coupling_sq / (kappa * gamma)
+
+
+def fabry_perot_transmission(cavity, lattice, probe) -> np.ndarray:
+    """Transmission T of a Fabry-Perot resonator with the lattice inside.
+
+    The resonator is two lossless mirror sheets, planes of real xi_m with
+    xi_m sqrt(1 + xi_m^2) = c / (2 L kappa), which gives the resonance the
+    half-width kappa.  Their separation L is set within lambda/4 of
+    ``cavity.length`` so that r_m^2 e^{2 i k_c L} = 1: an empty-cavity
+    resonance sits at omega_c.  Near the middle, the even sites sit where
+    the empty mode's standing wave cos(k_c (x - L) - arg(r_m) / 2) has phase
+    ``cavity.phase``, and the odd sites rho further on.  The lattice
+    (``lattice``'s cell size, rho and species, at the density
+    occupancy / (pi w_c^2 / 4) of the cavity coupling) enters as
+    (cell)^M, M = ``cavity.cell_count``, by repeated squaring.  Elementwise
+    over the probe frequencies.
+    """
+    omega = np.asarray(probe, dtype=float)
+    k, k_c = omega / C, cavity.wavevector
+    q = C / (2.0 * cavity.length * cavity.linewidth)
+    xi_m = math.sqrt((math.sqrt(1.0 + 4.0 * q * q) - 1.0) / 2.0)
+    arg_r = cmath.phase(1j * xi_m / (1.0 - 1j * xi_m))
+    length = (math.pi * round((k_c * cavity.length + arg_r) / math.pi) - arg_r) / k_c
+    # from the first even site to the second mirror: k_c D = -phi - arg_r/2 (mod pi)
+    turns = round((k_c * length / 2.0 + cavity.phase + arg_r / 2.0) / math.pi)
+    to_mirror = (math.pi * turns - cavity.phase - arg_r / 2.0) / k_c
+    span = cavity.cell_count * lattice.cell_size
+    density = cavity.occupancy / (math.pi * cavity.waist**2 / 4.0)
+    cell = dimer_matrix(lattice.replace(areal_density=density), omega)
+    stack, n = None, cavity.cell_count
+    while n:   # cell^M: the factors are powers of one matrix, so they commute
+        if n & 1:
+            stack = cell if stack is None else stack @ cell
+        n >>= 1
+        cell = cell @ cell if n else cell
+    total = (
+        period_matrix(xi_m, length - to_mirror, k) @ stack
+        @ period_matrix(0.0, to_mirror - span, k) @ period_matrix(xi_m, 0.0, k)
+    )
+    return np.abs(1.0 / total.m22) ** 2
 
 
 def read_table(path) -> Table:

@@ -48,8 +48,8 @@ def effective_g(omega0):
 def test_cavity_config_validation(omega0):
     with pytest.raises(ValueError, match="positive"):
         make_cavity(omega0, phase=0.0, linewidth=-1.0)
-    with pytest.raises(ValueError, match="even"):
-        make_cavity(omega0, phase=0.0, planes=201)
+    with pytest.raises(ValueError, match="at least one cell"):
+        make_cavity(omega0, phase=0.0, cells=0)
     with pytest.raises(ValueError, match="occupancy"):
         make_cavity(omega0, phase=0.0, occupancy=0.0)
 
@@ -238,8 +238,8 @@ def test_single_cell_with_rescaled_coupling_equivalent(omega0, lattice):
     # M cells at occupancy n, or one cell at occupancy M n: same M R
     omega_p = omega0 + 13 * GAMMA
     rho = 0.2 * lattice.cell_size
-    many = make_cavity(omega0, phase=0.0, planes=200, occupancy=3000.0)
-    one = make_cavity(omega0, phase=0.0, planes=2, occupancy=100 * 3000.0)
+    many = make_cavity(omega0, phase=0.0, cells=100, occupancy=3000.0)
+    one = make_cavity(omega0, phase=0.0, cells=1, occupancy=100 * 3000.0)
     i_many = output_intensity(many, lattice.species_even, lattice.species_odd, omega_p, rho)
     i_one = output_intensity(one, lattice.species_even, lattice.species_odd, omega_p, rho)
     assert i_many == pytest.approx(i_one, rel=1e-12)

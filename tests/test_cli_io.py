@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bilattice import cli_io, tableio
+from bilattice import cli_io, sweep, tableio
 from bilattice.cli_io import (
     BUNDLED_CONFIGS,
     ConfigError,
@@ -216,7 +216,7 @@ def test_bundled_fig9_cavity_setup():
     assert cav.waist == pytest.approx(130e-6)
     assert cav.occupancy == 3000
     assert cav.phase == pytest.approx(math.pi / 2)
-    assert cav.plane_count == 200
+    assert cav.cell_count == 100
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +640,8 @@ def test_bundled_tables_keep_their_bytes(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_each_distinct_column_is_formatted_once(tmp_path, monkeypatch, fmt):
-    # fig9: 3 rho cells of 4801 rows; omega_p and detuning are shared
+    # fig9: 3 rho cells of 4801 rows; omega_p and detuning are shared, and
+    # the prefixes (rho/a, phi) are formatted value by value
     table = run_sweep(parse_config(bundled_config_text("fig9")).sweep)
     formatted = []
     original = tableio._token_slots
@@ -648,7 +649,7 @@ def test_each_distinct_column_is_formatted_once(tmp_path, monkeypatch, fmt):
         tableio, "_token_slots", lambda v, kind: formatted.append(len(v)) or original(v, kind)
     )
     write_table(table, tmp_path / f"t.{fmt}", fmt)
-    assert sum(formatted) == 2 * 4801 + 3 * (2 + 2 * 4801) < len(table.rows) * 6
+    assert sum(formatted) == 2 * 4801 + 3 * 2 * 4801 < len(table.rows) * 6
     # a few thousand values per numpy pass
     assert max(formatted) <= 4096 and len(formatted) <= 10
 
@@ -1321,6 +1322,52 @@ def test_warning_raised_as_error_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("numeric/runtime failure: cavity marked commensurate")
+
+
+NO_MEMORY = "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"
+
+
+@pytest.mark.parametrize("name, key", [("fig4", "rho_points"), ("fig6", "probe_points")])
+def test_grid_that_cannot_be_allocated_exits_1_naming_its_key(
+    tmp_path, capsys, monkeypatch, name, key
+):
+    # numpy raises MemoryError for a grid of 10^15 points; injected here,
+    # so that nothing of that size is ever asked for
+    original = np.linspace
+
+    def linspace(start, stop, num, *args, **kwargs):
+        if num > 10**6:
+            raise MemoryError(NO_MEMORY)
+        return original(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    text = bundled_config_text(name)
+    size = next(line for line in text.splitlines() if line.startswith(key))
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace(size, f"{key} = 1000000000000000"))
+    out = tmp_path / "out.csv"
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line ")
+    assert err.endswith(f"key {key!r}: MemoryError: {NO_MEMORY}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module, name", [(sweep, "_rho_grid"), (tableio, "_rendered")])
+def test_allocation_that_fails_outside_the_cells_exits_2(
+    tmp_path, capsys, monkeypatch, module, name
+):
+    # a table's set-up arrays, and the writer's slot matrix
+    def failing(*args):
+        raise MemoryError(NO_MEMORY)
+
+    monkeypatch.setattr(module, name, failing)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_TRANSMIT)
+    out = tmp_path / "out.csv"
+    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numeric/runtime failure: {NO_MEMORY}\n"
+    assert not out.exists()
 
 
 def test_cli_accepts_bundled_name(tmp_path):
