@@ -17,14 +17,18 @@ eigenvalues below omega is #(omega_k < omega) plus the negative inertia of
 a 2x2 Schur complement (Sylvester's law of inertia), an O(n_G) count per q,
 and each band value is the adjacent float64 pair at which that count passes
 the band index (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; Golub,
-SIAM Rev. 15, 1973).  Two counts certify the pair at a predicted value; a
-value they do not certify is bisected from the whole window, as LAPACK's
-dstebz keeps its count as the safeguard, so the values are those of a
-bisection bit for bit.  The scan covers only q >= 0: time reversal makes
-the matrix at -q the complex conjugate of the one at q with modes m and -m
-swapped, so omega_n(-q) = omega_n(q).  Only the odd-site phase e^{i G rho}
-depends on rho, so a ``GapScan`` builds everything else once per lattice
-and window, and each rho costs its phase, its weights and its counts.
+SIAM Rev. 15, 1973).  Two counts certify the pair at a predicted value, an
+eigenvalue of a small effective Hamiltonian per q: each rho's one eigensolve
+is the ``np.linalg.eigvalsh`` batch of ``GapScan._seeds`` over the q rows
+that border photon modes (5 rows of 4x4 on the bundled configs), and no band
+value is taken from it before the two counts certify it.  A value they do
+not certify is bisected from the whole window, as LAPACK's dstebz keeps its
+count as the safeguard, so the values are those of a bisection bit for bit.
+The scan covers only q >= 0: time reversal makes the matrix at -q the
+complex conjugate of the one at q with modes m and -m swapped, so
+omega_n(-q) = omega_n(q).  Only the odd-site phase e^{i G rho} depends on
+rho, so a ``GapScan`` builds everything else once per lattice and window,
+and each rho costs its phase, its weights and its counts.
 
 The rotating-wave coupling scales as 1/sqrt(omega_k) and is therefore cut
 off for photon modes below 0.25 min(omega_1, omega_2) (the G = 0 mode
@@ -70,11 +74,10 @@ class BandStructure:
 
 @dataclass(frozen=True)
 class Gap:
-    """Frequency interval not reached by any band; index 1 = lowest frequency."""
+    """Frequency interval not reached by any band."""
 
     lower_edge: float               # [rad/s]
     upper_edge: float               # [rad/s]
-    index: int
 
     def __post_init__(self):
         if self.upper_edge <= self.lower_edge:
@@ -270,7 +273,7 @@ def find_gaps(
             else:
                 gaps.append((cursor, start))
         cursor = max(cursor, end)
-    return [Gap(a, b, i + 1) for i, (a, b) in enumerate(gaps)]
+    return [Gap(a, b) for a, b in gaps]
 
 
 def _detuned(omega, omega_k):

@@ -192,14 +192,14 @@ def _gamma_units(spec: SweepSpec, omega: float) -> float:
 def _bands_table(spec: SweepSpec) -> Table:
     from . import bandstructure
     cfg = spec.lattice
-    g0 = cfg.reciprocal_vector
     n_modes = 2 * spec.n_bz + 3
     columns = ["rho_over_a", "q_over_G0"] + [
         f"band_{i + 1:02d}_gamma" for i in range(n_modes)
     ]
     rhos = spec.resolved_rhos()
     table = Table(columns, meta={"engine": "bands", "rho_values": list(map(float, rhos))})
-    q_axis = []   # the first cell's q_over_G0, the column every cell shares
+    # the q grid of compute_bands, which does not depend on rho: one column for every cell
+    q_axis = bandstructure._q_grid(cfg, spec.n_q, spec.q_max) / cfg.reciprocal_vector
 
     def run(coords):
         bs = bandstructure.compute_bands(
@@ -208,9 +208,7 @@ def _bands_table(spec: SweepSpec) -> Table:
             n_q=spec.n_q,
             q_max=spec.q_max,
         )
-        if not q_axis:   # the q grid does not depend on rho
-            q_axis.append(bs.q_grid / g0)
-        return (q_axis[0], *_gamma_units(spec, bs.bands).T)
+        return (q_axis, *_gamma_units(spec, bs.bands).T)
 
     cells = _rho_grid(rhos)
     failed = ((NAN,),) * (len(columns) - 1)   # one NaN row after rho/a
@@ -274,7 +272,7 @@ def _transmit_table(spec: SweepSpec) -> Table:
     columns = base_cols if single else ["rho_over_a"] + base_cols
     table = Table(columns, meta={"engine": "transmit", "rho_values": list(map(float, rhos))})
     grid = np.asarray(spec.probe_grid, dtype=float)
-    # the omega_p and detuning axes of spectrum_scan, shared by every cell
+    # the omega_p and detuning axes, shared by every cell
     detuning = (grid - cfg.species_even.transition_frequency) / cfg.species_even.linewidth
 
     def run(coords):

@@ -84,7 +84,6 @@ class Spectrum(NamedTuple):
     reason under its grid index in ``errors``.
     """
 
-    detuning: np.ndarray       # (omega_p - omega_even) / gamma_even
     transmitted: np.ndarray    # T = |t|^2
     reflected: np.ndarray      # R = |r|^2
     absorbed: np.ndarray       # A = 1 - T - R
@@ -221,7 +220,6 @@ def spectrum_scan(cfg: LatticeConfig, probe_grid: Sequence[float]) -> Spectrum:
     omega = np.asarray(probe_grid, dtype=float)
     if omega.size == 0:
         raise ValueError("empty probe grid")
-    sp = cfg.species_even
     transmitted = np.full(omega.shape, np.nan)
     reflected = np.full(omega.shape, np.nan)
     good = omega > 0
@@ -237,6 +235,4 @@ def spectrum_scan(cfg: LatticeConfig, probe_grid: Sequence[float]) -> Spectrum:
         for i in np.flatnonzero(~valid).tolist()
     }
     transmitted[~valid] = reflected[~valid] = absorbed[~valid] = np.nan
-    return Spectrum(
-        (omega - sp.transition_frequency) / sp.linewidth, transmitted, reflected, absorbed, errors
-    )
+    return Spectrum(transmitted, reflected, absorbed, errors)

@@ -548,7 +548,7 @@ def test_no_gaps_without_coupling(omega0):
 @pytest.mark.parametrize("edges", [(2.0, 1.0), (1.0, 1.0)], ids=["inverted", "empty"])
 def test_gap_refuses_edges_out_of_order(edges):
     with pytest.raises(ValueError, match="^gap upper edge must exceed lower edge$"):
-        bandstructure.Gap(*edges, 1)
+        bandstructure.Gap(*edges)
 
 
 def test_degenerate_window_gives_empty_list(fiber_lattice):
@@ -599,7 +599,6 @@ def test_gaps_sorted_nonoverlapping_indexed(omega0):
     bs = compute_bands(cfg, n_bz=10, n_q=81)
     gaps = find_gaps(bs, window_for(cfg))
     for i, g in enumerate(gaps):
-        assert g.index == i + 1
         assert g.upper_edge > g.lower_edge
         if i:
             assert g.lower_edge > gaps[i - 1].upper_edge
@@ -608,7 +607,7 @@ def test_gaps_sorted_nonoverlapping_indexed(omega0):
 def merged_interval_gaps(bands, window, cover_tol, min_band_width):
     """Reference gap inventory in four passes: each band's min and max, the
     overlapping ranges merged, the uncovered stretches between them, and the
-    gaps split by thin bands fused.  Returns (lower, upper, index) triples."""
+    gaps split by thin bands fused.  Returns (lower, upper) pairs, ascending."""
     lo, hi = window
     if hi <= lo:
         return []
@@ -642,7 +641,7 @@ def merged_interval_gaps(bands, window, cover_tol, min_band_width):
             else:
                 fused.append((start, end))
         uncovered = fused
-    return [(a, b, i + 1) for i, (a, b) in enumerate(uncovered) if b > a]
+    return [(a, b) for a, b in uncovered if b > a]
 
 
 # a coarse grid, so that band values tie and padded ranges touch or nest
@@ -665,7 +664,7 @@ def test_find_gaps_matches_merged_intervals(shape, data, window, cover_tol, min_
                                         max_size=shape[0] * shape[1]))).reshape(shape)
     bs = bandstructure.BandStructure(np.zeros(shape[0]), bands, 1, None)
     gaps = find_gaps(bs, window, cover_tol, min_band_width)
-    assert [(g.lower_edge, g.upper_edge, g.index) for g in gaps] == merged_interval_gaps(
+    assert [(g.lower_edge, g.upper_edge) for g in gaps] == merged_interval_gaps(
         bands, window, cover_tol, min_band_width
     )
 
@@ -707,6 +706,17 @@ def test_rho_scan_symmetric_about_half_cell(omega0):
     w_hi = [g.width for g in entries[1].gaps]
     assert w_lo == pytest.approx(w_hi, rel=1e-6)
     assert entries[0].analytic_widths == pytest.approx(entries[1].analytic_widths, rel=1e-12)
+
+
+def test_rho_scan_has_no_analytic_widths_for_unequal_species(omega0):
+    # the band-edge formula needs omega_1 = omega_2; outside it the entry
+    # holds the numeric gaps only
+    unequal = make_lattice(omega0, cells=100, rho_frac=0.2, detuning_odd=530.0)
+    entry = gap_widths_vs_rho(unequal, [0.2 * unequal.cell_size], n_bz=4, n_q=11)[0]
+    assert entry.analytic_edges is None and entry.analytic_widths is None
+    equal = make_lattice(omega0, cells=100, rho_frac=0.2)
+    widths = gap_widths_vs_rho(equal, [0.2 * equal.cell_size], n_bz=4, n_q=11)[0].analytic_widths
+    assert len(widths) == 2 and all(w > 0.0 for w in widths)
 
 
 def test_rho_scan_rejects_out_of_cell(omega0):

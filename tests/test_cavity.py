@@ -361,3 +361,12 @@ def test_quadratic_peak_refinement():
     peaks = extract_peaks(x, y)
     assert len(peaks) == 1
     assert peaks[0] == pytest.approx(0.137, abs=1e-12)
+
+
+def test_peak_on_a_flat_top_stays_at_its_grid_point():
+    # y0 - 2 y1 + y2 rounds to 0 here: the parabola has no vertex, and the
+    # peak is the grid point itself, not a division by zero
+    x = np.array([0.0, 0.5, 1.0])
+    y = np.array([1.0 - 2.0**-53, 1.0, 1.0])
+    with np.errstate(all="raise"):
+        assert extract_peaks(x, y) == [0.5]

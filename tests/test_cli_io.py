@@ -269,6 +269,16 @@ def test_nan_rows_round_trip_and_sidecar_log(tmp_path):
     assert log.exists() and "boom" in log.read_text()
 
 
+def test_numpy_meta_values_are_written_as_json(tmp_path):
+    # an array becomes a list of rounded floats, a numpy scalar its Python value
+    meta = {"grid": np.array([1.0, 2.0]), "count": np.int64(3), "third": np.float64(1.0 / 3.0)}
+    path = tmp_path / "t.json"
+    write_table(Table(["x"], [(1.0,)], meta), path, "json")
+    back = read_table(path).meta
+    assert back == {"grid": [1.0, 2.0], "count": 3, "third": 0.333333333333}
+    assert type(back["count"]) is int
+
+
 def test_clean_rewrite_removes_stale_sidecar(tmp_path):
     path = tmp_path / "t.csv"
     log = tmp_path / "t.csv.errors.log"
@@ -828,6 +838,76 @@ def test_cli_engine_mismatch_is_config_error(tmp_path, capsys):
     cfg.write_text(MINIMAL_TRANSMIT)
     assert run_cli(["cavity", "--config", str(cfg)]) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+# Each rule of cli_io._KEYS at its boundary: (base config, key, values that
+# parse, the nearest values past the rule, other keys set so that they admit
+# the value; None drops a key).  A positive key has no boundary value that
+# parses, so it gets a plain one and 0.
+BOUNDARY_CASES = [
+    ("fig4", "rho_points", ["1"], ["0"], {}),
+    ("fig6", "cells", ["1"], ["0"], {"planes": None}),
+    ("fig6", "planes", ["2"], ["1"], {}),
+    ("fig2a", "n_bz", ["1"], ["0"], {}),   # a bands config has no window to keep below n_bz omega_0
+    ("fig2a", "n_q", ["3"], ["2"], {}),
+    ("fig6", "probe_points", ["2"], ["1"], {}),
+    ("fig6", "rho", ["0 a", "1 a"], ["-1e-12 a", "1.000000000001 a"], {}),
+    ("fig2a", "rho_values", ["0, 1 a"], ["-1e-12, 0.2 a", "0.2, 1.000000000001 a"], {}),
+    ("fig4", "rho_min", ["0 a", "1 a"], ["-1e-12 a", "1.000000000001 a"], {}),
+    ("fig4", "rho_max", ["0 a", "1 a"], ["-1e-12 a", "1.000000000001 a"], {}),
+    ("fig2a", "q_max", ["0.5 G0"], ["0 G0", "0.500000000001 G0"], {}),
+    ("fig4", "cover_tol", ["0 gamma"], ["-1e-12 gamma"], {}),
+    ("fig4", "min_band_width", ["0 gamma"], ["-1e-12 gamma"], {}),
+    ("fig6", "wavelength", ["780 nm"], ["0 nm"], {"species": "custom", "linewidth": "6 MHz"}),
+    ("fig6", "linewidth", ["6 MHz"], ["0 MHz"], {"species": "custom", "wavelength": "780 nm"}),
+    ("fig6", "gamma_even", ["6 MHz"], ["0 MHz"], {}),
+    ("fig6", "gamma_odd", ["6 MHz"], ["0 MHz"], {}),
+    ("fig6", "areal_density", ["5.7e-2 um^-2"], ["0 um^-2"], {}),
+    ("fig4", "waist", ["5 um"], ["0 um"], {}),
+    ("fig9", "cavity_length", ["85 mm"], ["0 mm"], {}),
+    ("fig9", "kappa", ["21 kHz"], ["0 kHz"], {}),
+    ("fig9", "cavity_waist", ["130 um"], ["0 um"], {}),
+    ("fig9", "occupancy", ["3000"], ["0"], {}),
+    ("fig9", "pump", ["1 rad/s"], ["0 rad/s"], {}),
+]
+RULE_MESSAGES = {"in cell": "must satisfy 0 <= rho <= a", "half zone": "must lie in (0, G0/2]"}
+
+
+def config_with(name: str, values: dict) -> tuple[str, dict]:
+    """A cut bundled config with each key of ``values`` set (in its line, or
+    appended) or dropped (None), and the line number of every key."""
+    lines = [ln for ln in FUZZ_CONFIGS[name]
+             if values.get(ln.split("=")[0].strip(), "") is not None]
+    keys = [ln.split("=")[0].strip() for ln in lines]
+    for key, value in values.items():
+        if value is not None:
+            if key in keys:
+                lines[keys.index(key)] = f"{key} = {value}"
+            else:
+                lines.append(f"{key} = {value}")
+                keys.append(key)
+    return "\n".join(lines) + "\n", {key: i + 1 for i, key in enumerate(keys)}
+
+
+def test_boundary_cases_cover_every_rule():
+    assert sorted(case[1] for case in BOUNDARY_CASES) == sorted(
+        key for key, (_, rule) in cli_io._KEYS.items() if rule is not None
+    )
+
+
+@pytest.mark.parametrize("name, key, inside, past, others", BOUNDARY_CASES,
+                         ids=[case[1] for case in BOUNDARY_CASES])
+def test_key_rule_holds_at_its_boundary(name, key, inside, past, others):
+    # parsing only: no case runs an engine
+    for value in inside:
+        parse_config(config_with(name, {**others, key: value})[0])
+    rule = cli_io._KEYS[key][1]
+    message = RULE_MESSAGES.get(rule, f"must be {rule}")
+    for value in past:
+        text, line_of = config_with(name, {**others, key: value})
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {line_of[key]}: key {key!r}: {message}", value
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -293,6 +293,32 @@ def test_failed_bands_rho_keeps_its_nan_row_in_place(monkeypatch):
     assert table.errors == [{"rho": table.meta["rho_values"][1], "error": "ValueError: injected"}]
 
 
+def test_bands_q_column_is_the_grid_when_the_first_rho_fails(monkeypatch):
+    # the q column does not come from a cell: with the first rho failed, it
+    # is one NaN row, and every later cell holds the same q array, the grid
+    # of compute_bands over G0
+    text = bundled_config_text("fig2a").replace("n_q = 401", "n_q = 5")
+    spec = parse_config(text).sweep
+    original = bandstructure.compute_bands
+
+    def failing_at_first_rho(cfg, **kw):
+        if cfg.intracell_distance == 0.0:
+            raise ValueError("injected")
+        return original(cfg, **kw)
+
+    monkeypatch.setattr(bandstructure, "compute_bands", failing_at_first_rho)
+    table = run_sweep(spec)
+    first, *rest = table.cells
+    assert first.prefix == (0.0,) and all(len(c) == 1 and math.isnan(c[0]) for c in first.columns)
+    assert table.errors == [{"rho": 0.0, "error": "ValueError: injected"}]
+    q_columns = [cell.columns[0] for cell in rest]
+    assert len(q_columns) == 2 and q_columns[0] is q_columns[1]
+    lat = spec.lattice
+    grid = bandstructure._q_grid(lat, spec.n_q, spec.q_max) / lat.reciprocal_vector
+    assert np.array_equal(q_columns[0], grid)
+    assert not any(np.isnan(c).any() for cell in rest for c in cell.columns)
+
+
 def test_clean_run_meta_has_no_errors_key(tmp_path):
     # the error list is created only when a cell or a probe point fails
     text = bundled_config_text("fig9").replace("probe_points = 4801", "probe_points = 41")

