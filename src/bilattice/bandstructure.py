@@ -217,10 +217,10 @@ def analytic_band_edges(cfg: LatticeConfig) -> tuple[float, float, float, float]
     omega_Q.  Gap 1 is [nu_1-, nu_2-], gap 2 is [nu_2+, nu_1+]; both widths
     are independent of the cell count M and vanish at rho = a/4 when G1 = G2.
     """
+    if not _edges_apply(cfg):
+        raise ValueError("band-edge formula requires omega_1 = omega_2")
     sp1, sp2 = cfg.species_even, cfg.species_odd
     w1 = sp1.transition_frequency
-    if abs(w1 - sp2.transition_frequency) > 1e-9 * w1:
-        raise ValueError("band-edge formula requires omega_1 = omega_2")
     omega_q = cfg.bragg_frequency
     root_m = math.sqrt(cfg.cell_count)
     volume = cfg.quantization_volume
@@ -237,6 +237,20 @@ def analytic_band_edges(cfg: LatticeConfig) -> tuple[float, float, float, float]
     return mean - half1, mean - half2, mean + half2, mean + half1
 
 
+def _edges_apply(cfg: LatticeConfig) -> bool:
+    """Whether ``analytic_band_edges`` applies: |omega_1 - omega_2| <= 1e-9 omega_1."""
+    w1 = cfg.species_even.transition_frequency
+    return abs(w1 - cfg.species_odd.transition_frequency) <= 1e-9 * w1
+
+
+def _cover_tol(cfg: LatticeConfig, cover_tol: float | None) -> float:
+    """``cover_tol``, gamma_even/10 when None, refused if negative."""
+    cover_tol = cfg.species_even.linewidth / 10.0 if cover_tol is None else cover_tol
+    if cover_tol < 0.0:
+        raise ValueError("cover_tol must be >= 0")
+    return cover_tol
+
+
 def find_gaps(
     bs: BandStructure,
     window: tuple[float, float],
@@ -251,10 +265,7 @@ def find_gaps(
     strips thinner than ``min_band_width`` that separate two gaps do not
     split them (coarse-grained counting; 0 disables merging).
     """
-    if cover_tol is None:
-        cover_tol = bs.config.species_even.linewidth / 10.0
-    if cover_tol < 0.0:
-        raise ValueError("cover_tol must be >= 0")
+    cover_tol = _cover_tol(bs.config, cover_tol)
     lo, hi = window
     if hi <= lo:
         return []
@@ -357,12 +368,10 @@ class GapScan:
             window = (min(anchors) - pad, max(anchors) + pad)
         elif not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
             raise ValueError(f"window {window} must be finite and increasing")
-        cover_tol = sp1.linewidth / 10.0 if cover_tol is None else cover_tol
-        if cover_tol < 0.0:
-            raise ValueError("cover_tol must be >= 0")
+        cover_tol = _cover_tol(cfg, cover_tol)
         self.cfg, self.window, self.n_bz = cfg, window, n_bz
         self.cover_tol, self.min_band_width = cover_tol, min_band_width
-        self._analytic = abs(w1 - w2) <= 1e-9 * w1
+        self._analytic = _edges_apply(cfg)
         self.lower = lower = window[0] - cover_tol - sp1.linewidth
         self.upper = upper = window[1] + cover_tol + sp1.linewidth
         self.q_grid = _q_grid(cfg, n_q)[n_q // 2:] if q_grid is None else q_grid

@@ -41,7 +41,7 @@ detuning_gamma, T, R, A) resp. (omega_p_rad_s, detuning_gamma,
 intensity_photons_per_s, intensity_norm) for single-geometry runs; grid
 sweeps prepend the varied coordinates.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -345,15 +345,15 @@ def _parse(text: str) -> RunConfig:
         if pmax <= pmin:
             entries["probe_max"].fail("must exceed probe_min")
         npts = get("probe_points")
-        # transmit detunes against the even-species transition (paper-figure
-        # axis); the cavity engine against the lattice reference omega_0
-        anchor = species_even.transition_frequency if engine == "transmit" else omega0
+        # the line each engine detunes from; transmit's is the paper-figure axis
+        anchor, line = ((species_even.transition_frequency, "the even-species transition")
+                        if engine == "transmit" else (omega0, "the lattice light omega_0"))
         if not pmax < anchor:
             entries["probe_max"].fail(f"must keep every probe frequency below "
                                       f"{2 * anchor:.6g} rad/s (twice the line it detunes from)")
-        if engine == "cavity" and not anchor + pmin > 0:
+        if not anchor + pmin > 0:
             entries["probe_min"].fail(f"must keep every probe frequency above 0 rad/s "
-                                      f"(probe_min > -omega_0 = {-anchor:.6g} rad/s)")
+                                      f"(probe_min > {-anchor:.6g} rad/s, minus {line})")
         with entries["probe_points"].blamed():
             grid = anchor + np.linspace(pmin, pmax, npts)
         if not np.all(grid[1:] > grid[:-1]):
@@ -487,10 +487,18 @@ def _load_config(arg: str) -> str:
     raise ConfigError(f"config file {arg!r} not found")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, a configuration error's code (subparsers inherit the class)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilattice",
         description="Photonic spectra of one-dimensional biperiodic atomic lattices.",
     )

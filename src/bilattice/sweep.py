@@ -9,8 +9,8 @@ arrays, among them the axes every cell shares (the probe grid and detuning,
 the q grid), passed as the same array object to every cell.  The gaps
 engine, one row per rho, makes one cell of the whole scan instead, with
 rho/a as its first column, and builds one ``GapScan`` plan for all its rho.
-A failing cell or probe point contributes NaN-marked rows and an entry in
-the table's error list instead of aborting the sweep.
+A failing cell contributes NaN rows and an entry in the table's error list;
+what the cells share is built before them, and its failure ends the sweep.
 
 Each engine's table function imports that engine's module when it runs, so
 a sweep loads only the engine it uses.
@@ -128,6 +128,8 @@ class SweepSpec:
         if self.engine in ("transmit", "cavity"):
             if self.probe_grid is None or len(self.probe_grid) == 0:
                 raise ValueError(f"{self.engine} sweep needs a non-empty probe grid")
+            if not np.all(np.asarray(self.probe_grid) > 0):
+                raise ValueError("every probe frequency must lie above 0 rad/s")
         if self.engine == "cavity" and self.cavity is None:
             raise ValueError("cavity sweep needs a cavity config")
         if self.rho_values is not None and len(self.rho_values) == 0:
@@ -233,15 +235,11 @@ def _gaps_table(spec: SweepSpec) -> Table:
     ]
     rhos = spec.resolved_rhos()
     table = Table(columns, meta={"engine": "gaps", "rho_values": list(map(float, rhos))})
-
-    plan = []   # the table's one GapScan, built in the first cell's guard
+    scan = bandstructure.GapScan(cfg, spec.window, spec.n_bz, spec.n_q, spec.cover_tol,
+                                 spec.min_band_width)
 
     def run(coords):
-        if not plan:
-            plan.append(bandstructure.GapScan(
-                cfg, spec.window, spec.n_bz, spec.n_q, spec.cover_tol, spec.min_band_width
-            ))
-        entry = plan[0].entry(coords["rho"])
+        entry = scan.entry(coords["rho"])
         row = [float(len(entry.gaps))]
         for g in entry.gaps[:_GAP_SLOTS]:
             row += [_gamma_units(spec, g.lower_edge), _gamma_units(spec, g.upper_edge),
@@ -277,11 +275,7 @@ def _transmit_table(spec: SweepSpec) -> Table:
 
     def run(coords):
         result = transfer_matrix.spectrum_scan(cfg.replace(intracell_distance=coords["rho"]), grid)
-        for i, msg in result.errors.items():   # failed probe points, NaN in place
-            table.errors.append(
-                {**coords, "omega_p": float(grid[i]), "error": f"ValueError: {msg}"}
-            )
-        return (grid, detuning, result.transmitted, result.reflected, result.absorbed)
+        return (grid, detuning, *result)
 
     nan = np.full(grid.shape, NAN)
     cells = _rho_grid(rhos)

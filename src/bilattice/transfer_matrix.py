@@ -77,17 +77,11 @@ class ScatterMatrix:
 
 
 class Spectrum(NamedTuple):
-    """T, R, A of the full stack over a probe grid, one array entry per point.
-
-    A point that fails a check (omega_p <= 0, or A outside [-1e-9, 1], which
-    catches a T or R that is not finite) carries NaN in T, R and A, and the
-    reason under its grid index in ``errors``.
-    """
+    """T, R, A of the full stack over a probe grid, one array entry per point."""
 
     transmitted: np.ndarray    # T = |t|^2
     reflected: np.ndarray      # R = |r|^2
     absorbed: np.ndarray       # A = 1 - T - R
-    errors: dict[int, str]
 
 
 def period_matrix(xi, d: float, k_p) -> ScatterMatrix:
@@ -213,26 +207,20 @@ def transmission_closed_form(cfg: LatticeConfig, omega_p: float, n: int) -> comp
 def spectrum_scan(cfg: LatticeConfig, probe_grid: Sequence[float]) -> Spectrum:
     """T, R, A of the full cfg.cell_count-cell stack over a probe grid.
 
-    All points are evaluated together; a point that fails its checks is NaN
-    in T, R and A and listed in ``Spectrum.errors``, the others are
-    unaffected.
+    All points are evaluated together, and the grid fails as a whole: a
+    point at or below 0 rad/s raises the ``ValueError`` of
+    ``polarizability``, and an A outside [-1e-9, 1] (which catches a T or R
+    that is not finite) a ``FloatingPointError`` naming the first such point.
     """
     omega = np.asarray(probe_grid, dtype=float)
     if omega.size == 0:
         raise ValueError("empty probe grid")
-    transmitted = np.full(omega.shape, np.nan)
-    reflected = np.full(omega.shape, np.nan)
-    good = omega > 0
-    r, t = stack_coefficients(dimer_matrix(cfg, omega[good]), cfg.cell_count)
-    transmitted[good] = np.abs(t) ** 2
-    reflected[good] = np.abs(r) ** 2
+    r, t = stack_coefficients(dimer_matrix(cfg, omega), cfg.cell_count)
+    transmitted, reflected = np.abs(t) ** 2, np.abs(r) ** 2
     absorbed = 1.0 - transmitted - reflected
     # T, R >= 0 by construction; a non-finite T or R leaves A NaN or infinite
-    valid = (absorbed >= -1e-9) & (absorbed <= 1.0)
-    errors = {
-        i: f"absorption {absorbed[i]} outside [0, 1]" if good[i]
-        else "probe frequency must be positive"
-        for i in np.flatnonzero(~valid).tolist()
-    }
-    transmitted[~valid] = reflected[~valid] = absorbed[~valid] = np.nan
-    return Spectrum(transmitted, reflected, absorbed, errors)
+    bad = np.flatnonzero(~((absorbed >= -1e-9) & (absorbed <= 1.0)))
+    if bad.size:
+        raise FloatingPointError(f"absorption {np.ravel(absorbed)[bad[0]]} outside [0, 1] "
+                                 f"at omega_p = {np.ravel(omega)[bad[0]]} rad/s")
+    return Spectrum(transmitted, reflected, absorbed)

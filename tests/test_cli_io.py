@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bilattice import cli_io, sweep, tableio
+from bilattice import cli_io, sweep, tableio, transfer_matrix
 from bilattice.cli_io import (
     BUNDLED_CONFIGS,
     ConfigError,
@@ -431,17 +431,25 @@ def test_output_in_a_directory_that_refuses_removal_is_overwritten(tmp_path):
         folder.chmod(0o755)
 
 
-def test_cli_errors_go_to_stderr_with_stdout_output(tmp_path, capsys):
-    # probe points far below the line have omega_p <= 0: each is a NaN row
-    # plus one error, and the run still exits 0
+def test_cli_errors_go_to_stderr_with_stdout_output(tmp_path, capsys, monkeypatch):
+    # the second of two rho cells fails (injected): its 11 rows are NaN on
+    # stdout, its one error entry goes to stderr, and the run still exits 0
+    original = transfer_matrix.spectrum_scan
+
+    def failing_above_rho_0(cfg, probe_grid):
+        if cfg.intracell_distance > 0.0:
+            raise RuntimeError("injected")
+        return original(cfg, probe_grid)
+
+    monkeypatch.setattr(transfer_matrix, "spectrum_scan", failing_above_rho_0)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL_TRANSMIT.replace("probe_min = -50 gamma", "probe_min = -1e16 gamma"))
+    cfg.write_text(MINIMAL_TRANSMIT.replace("rho = 0 a", "rho_values = 0, 0.2 a"))
     assert run_cli(["transmit", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
-    nan_rows = [ln for ln in captured.out.splitlines()[1:] if ln.endswith(",nan,nan,nan")]
+    rows = captured.out.splitlines()[1:]
+    assert [ln.endswith(",nan,nan,nan") for ln in rows] == [False] * 11 + [True] * 11
     errors = [json.loads(ln) for ln in captured.err.splitlines()]
-    assert len(nan_rows) == len(errors) == 10
-    assert all(e["error"] == "ValueError: probe frequency must be positive" for e in errors)
+    assert [e["error"] for e in errors] == ["RuntimeError: injected"]
     assert not list(tmp_path.glob("*.errors.log"))
 
 
@@ -1209,8 +1217,7 @@ def is_engine_value(column: str) -> bool:
     return column in ("T", "R", "A") or column.startswith(("intensity_", "gap_count", "band_"))
 
 
-# probe points at or below 0 rad/s: NaN rows with error entries and exit 0,
-# so that the sidecar rule below has a case to check
+# probe points at or below 0 rad/s: refused at parsing, exit 1 and no table
 BELOW_ZERO_PROBE = "\n".join(FUZZ_CONFIGS["fig6"]).replace(
     "probe_min = -600 gamma", "probe_min = -1e16 gamma") + "\n"
 
@@ -1407,12 +1414,9 @@ def test_warning_raised_as_error_exits_2_without_traceback(tmp_path):
 NO_MEMORY = "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"
 
 
-@pytest.mark.parametrize("name, key", [("fig4", "rho_points"), ("fig6", "probe_points")])
-def test_grid_that_cannot_be_allocated_exits_1_naming_its_key(
-    tmp_path, capsys, monkeypatch, name, key
-):
-    # numpy raises MemoryError for a grid of 10^15 points; injected here,
-    # so that nothing of that size is ever asked for
+def refuse_huge_linspace(monkeypatch):
+    """numpy raises MemoryError for a grid of 10^15 points; injected, so
+    that nothing of that size is ever asked for."""
     original = np.linspace
 
     def linspace(start, stop, num, *args, **kwargs):
@@ -1421,6 +1425,13 @@ def test_grid_that_cannot_be_allocated_exits_1_naming_its_key(
         return original(start, stop, num, *args, **kwargs)
 
     monkeypatch.setattr(np, "linspace", linspace)
+
+
+@pytest.mark.parametrize("name, key", [("fig4", "rho_points"), ("fig6", "probe_points")])
+def test_grid_that_cannot_be_allocated_exits_1_naming_its_key(
+    tmp_path, capsys, monkeypatch, name, key
+):
+    refuse_huge_linspace(monkeypatch)
     text = bundled_config_text(name)
     size = next(line for line in text.splitlines() if line.startswith(key))
     cfg = tmp_path / "huge.cfg"
@@ -1448,6 +1459,52 @@ def test_allocation_that_fails_outside_the_cells_exits_2(
     assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"numeric/runtime failure: {NO_MEMORY}\n"
     assert not out.exists()
+
+
+def test_gap_plan_that_cannot_be_allocated_exits_2_once(tmp_path, capsys, monkeypatch):
+    # the gap plan's q grid is built once, before the cells: it fails the
+    # run with one line, not each of the 51 rho with a NaN row and an entry
+    refuse_huge_linspace(monkeypatch)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(bundled_config_text("fig4").replace("n_q = 201", "n_q = 1000000000000001"))
+    out = tmp_path / "out.csv"
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numeric/runtime failure: {NO_MEMORY}\n"
+    assert not out.exists() and not list(tmp_path.glob("*.errors.log"))
+
+
+@pytest.mark.parametrize("name, line, anchor", [
+    ("fig6", 11, "the even-species transition"), ("fig9", 17, "the lattice light omega_0"),
+])
+def test_probe_window_reaching_0_rad_s_exits_1_naming_probe_min(
+    tmp_path, capsys, name, line, anchor
+):
+    # both spectra engines refuse it at parsing, not as a NaN row per point
+    text = bundled_config_text(name)
+    probe_min = next(ln for ln in text.splitlines() if ln.startswith("probe_min"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace(probe_min, "probe_min = -1e16 gamma"))
+    out = tmp_path / "out.csv"
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: key 'probe_min': must keep every "
+                          "probe frequency above 0 rad/s (probe_min > -")
+    assert err.endswith(f" rad/s, minus {anchor})\n") and err.count("\n") == 1
+    assert not out.exists() and not list(tmp_path.glob("*.errors.log"))
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["scan", "--config", "fig2b", "--format", "xml"], []],
+                         ids=["no_config", "unknown_format", "no_subcommand"])
+def test_bad_command_line_exits_1_with_its_usage(capsys, argv):
+    # a usage error is a configuration error (1), not a numeric failure (2)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bilattice") and "error: " in err
+    with pytest.raises(SystemExit) as info:
+        main([*argv[:1], "--help"])
+    assert info.value.code == 0
 
 
 def test_cli_accepts_bundled_name(tmp_path):

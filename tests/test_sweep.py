@@ -76,35 +76,64 @@ def test_transmit_rho_grid_prepends_coordinate(omega0):
     assert sorted(set(r[0] for r in table.rows)) == pytest.approx([0.0, 0.2, 0.24])
 
 
-def test_failed_cells_marked_nan_and_logged(omega0):
+def nan_transmission_at(monkeypatch, index, cells=None):
+    """Make T non-finite at probe grid ``index`` in ``spectrum_scan``, in the
+    given cells (0-based, in run order; all when None)."""
+    original = transfer_matrix.stack_coefficients
+    calls = []
+
+    def patched(cell, n):
+        r, t = original(cell, n)
+        if cells is None or len(calls) in cells:
+            t[index] = np.nan
+        calls.append(None)
+        return r, t
+
+    monkeypatch.setattr(transfer_matrix, "stack_coefficients", patched)
+
+
+def point_error(omega_p):
+    return f"FloatingPointError: absorption nan outside [0, 1] at omega_p = {omega_p} rad/s"
+
+
+def test_failed_cells_marked_nan_and_logged(omega0, monkeypatch):
+    # one non-finite point fails its whole cell: every row is NaN in T, R
+    # and A, and the table has one error entry, which names the point
     lat = make_lattice(omega0, cells=100)
     w1 = lat.species_even.transition_frequency
-    probe = np.array([w1, -5.0, w1 + GAMMA])   # middle point is unphysical
+    probe = np.array([w1, w1 + GAMMA, w1 + 2 * GAMMA])
+    nan_transmission_at(monkeypatch, 1)
     table = run_sweep(transmit_spec(omega0, probe=probe))
-    assert len(table.rows) == 3
-    assert math.isnan(table.rows[1][2])
-    assert len(table.errors) == 1
-    assert "positive" in table.errors[0]["error"]
-    good = table.rows[0]
-    assert not math.isnan(good[2])
+    assert [r[0] for r in table.rows] == list(probe)
+    assert all(math.isnan(v) for r in table.rows for v in r[2:])
+    assert table.errors == [{"rho": 0.0, "error": point_error(probe[1])}]
 
 
-def test_failed_point_lands_at_its_rho_and_frequency(omega0):
+def test_failed_point_lands_at_its_rho_and_frequency(omega0, monkeypatch):
+    # a failed point fails the cell of its rho, whose error entry names the
+    # point's frequency; the other cells keep their bits
     lat = make_lattice(omega0, cells=100)
     a = lat.cell_size
     w1 = lat.species_even.transition_frequency
-    probe = np.array([w1 - GAMMA, w1, 0.0, w1 + GAMMA])   # omega_p = 0 is unphysical
+    probe = np.array([w1 - GAMMA, w1, w1 + GAMMA, w1 + 2 * GAMMA])
     rhos = [0.0, 0.2 * a, 0.4 * a]
+    clean = np.array(run_sweep(transmit_spec(omega0, rhos=rhos, probe=probe)).rows)
+    nan_transmission_at(monkeypatch, 2, cells={1})
     table = run_sweep(transmit_spec(omega0, rhos=rhos, probe=probe))
-    assert len(table.rows) == 3 * 4
-    for k, rho in enumerate(rhos):
-        for j, wp in enumerate(probe):
-            row = table.rows[4 * k + j]
-            assert row[0] == pytest.approx(rho / a)
-            assert row[1] == wp and math.isfinite(row[2])
-            assert all(math.isnan(v) == (j == 2) for v in row[3:])
-    assert [(e["rho"], e["omega_p"]) for e in table.errors] == [(rho, 0.0) for rho in rhos]
-    assert all("positive" in e["error"] for e in table.errors)
+    rows = np.array(table.rows)
+    assert np.array_equal(np.delete(rows, np.s_[4:8], 0), np.delete(clean, np.s_[4:8], 0))
+    assert np.array_equal(rows[4:8, :3], clean[4:8, :3]) and np.isnan(rows[4:8, 3:]).all()
+    assert table.errors == [{"rho": rhos[1], "error": point_error(probe[2])}]
+
+
+@pytest.mark.parametrize("engine", ["transmit", "cavity"])
+@pytest.mark.parametrize("bad", [0.0, -5.0])
+def test_spec_refuses_probe_points_at_or_below_zero(omega0, engine, bad):
+    # one error for the spec, not one failed cell per rho
+    probe = np.array([omega0 - GAMMA, bad, omega0])
+    cavity = make_cavity(omega0, phase=0.0) if engine == "cavity" else None
+    with pytest.raises(ValueError, match="^every probe frequency must lie above 0 rad/s$"):
+        SweepSpec(engine, make_lattice(omega0), omega0, GAMMA, cavity=cavity, probe_grid=probe)
 
 
 def test_failed_transmit_cell_keeps_its_detuning_column(omega0, monkeypatch):
@@ -320,7 +349,7 @@ def test_bands_q_column_is_the_grid_when_the_first_rho_fails(monkeypatch):
 
 
 def test_clean_run_meta_has_no_errors_key(tmp_path):
-    # the error list is created only when a cell or a probe point fails
+    # the error list is created only when a cell fails
     text = bundled_config_text("fig9").replace("probe_points = 4801", "probe_points = 41")
     table = run_sweep(parse_config(text).sweep)
     assert list(table.meta) == [

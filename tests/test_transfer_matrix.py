@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bilattice import transfer_matrix
 from bilattice.cli_io import bundled_config_text, parse_config
 from bilattice.constants import C, TWO_PI
 from bilattice.core import xi_parameter
 from bilattice.transfer_matrix import (
     _DEGENERATE_NSIN,
     ScatterMatrix,
+    Spectrum,
     _cos_sin,
     cell_dephasing,
     dimer_matrix,
@@ -503,11 +505,33 @@ def test_spectrum_point_invariants(probe_lattice):
     w1 = probe_lattice.species_even.transition_frequency
     grid = w1 + np.linspace(-550, 550, 241) * GAMMA
     spec = spectrum_scan(probe_lattice, grid)
-    assert not spec.errors
     assert spec.transmitted.shape == spec.reflected.shape == spec.absorbed.shape == grid.shape
     assert np.all((spec.transmitted >= 0.0) & (spec.transmitted <= 1.0 + 1e-12))
     assert np.all((spec.reflected >= 0.0) & (spec.reflected <= 1.0 + 1e-12))
     assert np.all((spec.absorbed >= -1e-9) & (spec.absorbed <= 1.0))
+
+
+def test_spectrum_scan_fails_the_whole_grid(probe_lattice, monkeypatch):
+    # a Spectrum is T, R and A only: a point at or below 0 rad/s raises the
+    # ValueError of polarizability, and a non-finite T (patched in here) a
+    # FloatingPointError naming the first such point
+    assert Spectrum._fields == ("transmitted", "reflected", "absorbed")
+    w1 = probe_lattice.species_even.transition_frequency
+    for bad in (0.0, -5.0):
+        with pytest.raises(ValueError, match="^probe frequency must be positive$"):
+            spectrum_scan(probe_lattice, [w1, bad, w1 + GAMMA])
+    grid = w1 + np.array([-1.0, 0.0, 1.0, 2.0]) * GAMMA
+    original = transfer_matrix.stack_coefficients
+
+    def non_finite(cell, n):
+        r, t = original(cell, n)
+        t[1], t[3] = np.inf, np.nan
+        return r, t
+
+    monkeypatch.setattr(transfer_matrix, "stack_coefficients", non_finite)
+    with pytest.raises(FloatingPointError) as info:
+        spectrum_scan(probe_lattice, grid)
+    assert str(info.value) == f"absorption -inf outside [0, 1] at omega_p = {grid[1]} rad/s"
 
 
 def test_monoperiodic_scattering_loss_peak(probe_lattice):

@@ -53,7 +53,7 @@ def test_transmit_matches_mpmath_power(name):
     picks = set(np.argsort(edge_distance)[:EDGE_POINTS].tolist())
     picks |= set(rng.choice(len(grid), SAMPLES, replace=False).tolist())
     result = spectrum_scan(cfg, grid)
-    assert not result.errors
+    assert np.isfinite(np.array(result)).all()
     with mpmath.workdps(DIGITS):
         for i in sorted(picks):
             m12, m22 = mp_power(dimer_matrix(cfg, float(grid[i])), cfg.cell_count)
