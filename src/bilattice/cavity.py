@@ -10,12 +10,13 @@ waves at quasi-momenta +-Q (Q + G = k, k the cavity wavevector) are
     dd_+-/dt = -(i delta_2 + gamma_2/2) d_+- - i (sqrt(M)/2) g2 e^{+-i theta} a,
 
 with theta = k rho + phi, delta_c = omega_c - omega_p, delta_j = omega_j -
-omega_p.  When the cavity wavevector is commensurate with the lattice
-(k = N pi / a) the +Q and -Q spin waves are one and the same mode (Q = 0 for
-even N, pi/a for odd N) and the system reduces to three equations with the
-standing-wave overlap factors cos(phi), cos(k rho + phi); incommensurate
-geometries keep all five amplitudes, and their spectra are independent of
-rho and phi.
+omega_p.  The lattice's place in the standing wave, (rho, phi), is an
+argument of every evaluation, not a field of ``CavityConfig``.  When the
+cavity wavevector is commensurate with the lattice (k = N pi / a) the +Q and
+-Q spin waves are one and the same mode (Q = 0 for even N, pi/a for odd N)
+and the system reduces to three equations with the standing-wave overlap
+factors cos(phi), cos(k rho + phi); incommensurate geometries keep all five
+amplitudes, and their spectra are independent of rho and phi.
 
 Eliminating the spins exactly, for any detunings and linewidths, gives
 
@@ -33,7 +34,6 @@ sqrt(n̄).  Output photon flux: I = 2 kappa |<a>|^2.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,7 +58,6 @@ class CavityConfig:
     linewidth: float               # kappa [rad/s]
     length: float                  # L [m]
     waist: float                   # w_c [m]
-    phase: float                   # phi [rad], mode lattice vs atomic lattice
     pump: float                    # eta [rad/s-scaled drive amplitude]
     cell_count: int                # M lattice cells inside the mode
     commensurate: bool
@@ -166,6 +165,7 @@ def steady_state(
     species_odd: AtomSpecies,
     omega_p: float,
     rho: float,
+    phi: float,
 ) -> SteadyState:
     """Solve the linear mean-value system at probe frequency omega_p.
 
@@ -184,7 +184,6 @@ def steady_state(
     kap = cavity.linewidth
     eta = cavity.pump
     root_m = math.sqrt(cavity.cell_count)
-    phi = cavity.phase
     theta = cavity.wavevector * rho + phi
 
     if cavity.commensurate:
@@ -232,6 +231,7 @@ def output_intensity(
     species_odd: AtomSpecies,
     omega_p,
     rho: float,
+    phi: float,
 ):
     """Photon flux at the cavity output, I = 2 kappa |<a>|^2 [photons/s].
 
@@ -239,10 +239,15 @@ def output_intensity(
     an array of probe frequencies omega_p.
     """
     g1, g2 = _effective_couplings(cavity, species_even, species_odd)
-    rates = _species_couplings(g1, g2, cavity.wavevector, rho, cavity.phase, cavity.commensurate)
+    rates = _species_couplings(g1, g2, cavity.wavevector, rho, phi, cavity.commensurate)
+    return _intensity(cavity, (species_even, species_odd), rates, omega_p)
+
+
+def _intensity(cavity: CavityConfig, species, rates, omega_p):
+    """``output_intensity`` from each species' per-cell coupling-squared."""
     spins = sum(
         cavity.cell_count * rate / (1j * (sp.transition_frequency - omega_p) + 0.5 * sp.linewidth)
-        for rate, sp in zip(rates, (species_even, species_odd))
+        for rate, sp in zip(rates, species)
     )
     amplitude = cavity.pump / (1j * (cavity.mode_frequency - omega_p) + cavity.linewidth + spins)
     return 2.0 * cavity.linewidth * np.abs(amplitude) ** 2
@@ -313,23 +318,22 @@ def cavity_spectrum_scan(
 ) -> list[CavityScanCell]:
     """Output spectra over (rho, phi) grids, with extracted and predicted peaks.
 
-    Each cell's spectrum is one array evaluation over the probe grid.
-    Predicted peak positions come from the strong-coupling two-peak formula
-    with the same effective M R as the scan cell.  Cells come back in
-    lexicographic (rho, phi) grid order: cell i * len(phi_values) + j is
-    (rho_values[i], phi_values[j]).
+    The couplings g_j, which do not depend on (rho, phi), are computed once;
+    each cell's spectrum is then one array evaluation over the probe grid,
+    and its predicted peaks come from the strong-coupling two-peak formula
+    with the same effective M R.  Cells come back in lexicographic grid
+    order: cell i * len(phi_values) + j is (rho_values[i], phi_values[j]).
     """
     if len(probe_grid) == 0 or len(rho_values) == 0 or len(phi_values) == 0:
         raise ValueError("empty scan grid")
     probe = np.asarray(probe_grid, dtype=float)
+    g1, g2 = _effective_couplings(cavity, species_even, species_odd)
 
     def run_cell(rho, phi):
-        local = dataclasses.replace(cavity, phase=phi)
-        intensity = output_intensity(local, species_even, species_odd, probe, rho)
-        g1, g2 = _effective_couplings(local, species_even, species_odd)
-        r_eff = collective_coupling_squared(g1, g2, local.wavevector, rho, phi, local.commensurate)
+        rates = _species_couplings(g1, g2, cavity.wavevector, rho, phi, cavity.commensurate)
+        intensity = _intensity(cavity, (species_even, species_odd), rates, probe)
         predicted = rabi_peak_frequencies(
-            local.mode_frequency, species_even.transition_frequency, local.cell_count, r_eff
+            cavity.mode_frequency, species_even.transition_frequency, cavity.cell_count, sum(rates)
         )
         return CavityScanCell(intensity, extract_peaks(probe, intensity), predicted)
 

@@ -104,7 +104,6 @@ _KEYS = {
     "rho_min": ("length", "in cell"),
     "rho_max": ("length", "in cell"),
     "rho_points": ("count", ">= 1"),
-    "cells": ("count", ">= 1"),
     "planes": ("count", ">= 2"),
     "areal_density": ("areal density", "positive"),
     "waist": ("length", "positive"),
@@ -321,17 +320,11 @@ def _parse(text: str) -> RunConfig:
         raise ConfigError("missing required key 'rho' (or 'rho_values', or a rho range)")
     rho = get("rho") if rho_values is None else float(rho_values[0])
 
-    if "cells" in entries and "planes" in entries:
-        raise ConfigError("give exactly one of 'cells' and 'planes'")
-    cell_count = get("cells", None)
-    if "planes" in entries:
-        cell_count, odd = divmod(get("planes"), 2)
-        if odd:
-            entries["planes"].fail("must be even (two planes per cell)")
-    elif cell_count is None:
-        if engine not in ("bands", "gaps"):
-            raise ConfigError("missing required key 'cells' (or 'planes')")
-        cell_count = 100   # spectra are M-independent; any positive M works
+    # bands and gaps do not depend on M, so any positive M works there
+    planes = get("planes") if engine in ("transmit", "cavity") else get("planes", 200)
+    cell_count, odd = divmod(planes, 2)
+    if odd:
+        entries["planes"].fail("must be even (two planes per cell)")
 
     spec_kwargs = dict(
         engine=engine,
@@ -369,21 +362,19 @@ def _parse(text: str) -> RunConfig:
                 f"must satisfy |cavity_detuning| < omega_0 = {omega0:.6g} rad/s")
         if ("phase" in entries) == ("phase_values" in entries):
             raise ConfigError("give exactly one of 'phase' and 'phase_values'")
-        phi_values = get("phase_values", None)
+        phi_values = np.array([get("phase")]) if "phase" in entries else get("phase_values")
         cavity = CavityConfig(
             mode_frequency=omega0 + cavity_det,
             linewidth=get("kappa"),
             length=get("cavity_length"),
             waist=get("cavity_waist"),
-            phase=get("phase") if phi_values is None else float(phi_values[0]),
             # intensity_norm divides by the empty-cavity peak 2 pump^2 / kappa
             pump=get("pump", 1.0),
             cell_count=cell_count,
             commensurate=get("commensurate", True),
             occupancy=get("occupancy", 1.0),
         )
-        spec_kwargs["cavity"] = cavity
-        spec_kwargs["phi_values"] = phi_values
+        spec_kwargs.update(cavity=cavity, phi_values=phi_values)
 
     # --- the one lattice density n_s [m^-2] ---
     if engine == "cavity":
@@ -424,7 +415,7 @@ def _parse(text: str) -> RunConfig:
         # every intensity takes each species' collective rate M n-bar g^2
         g = max(cavity_coupling(sp, cavity) for sp in (species_even, species_odd))
         entries["cavity_length"].finite(g * g, "a squared single-atom coupling g^2")
-        (entries.get("occupancy") or entries.get("cells") or entries["planes"]).finite(
+        (entries.get("occupancy") or entries["planes"]).finite(
             cavity.cell_count * cavity.occupancy * g * g, "a collective rate M n g^2"
         )
 

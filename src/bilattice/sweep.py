@@ -114,7 +114,7 @@ class SweepSpec:
     cavity: object | None = None               # a cavity.CavityConfig, cavity engine
     probe_grid: np.ndarray | None = None       # rad/s, transmit + cavity engines
     rho_values: np.ndarray | None = None       # m; defaults to the lattice rho
-    phi_values: np.ndarray | None = None       # rad; defaults to the cavity phase
+    phi_values: np.ndarray | None = None       # rad, cavity engine
     n_bz: int = DEFAULT_N_BZ
     n_q: int = DEFAULT_N_Q
     q_max: float | None = None
@@ -130,10 +130,16 @@ class SweepSpec:
                 raise ValueError(f"{self.engine} sweep needs a non-empty probe grid")
             if not np.all(np.asarray(self.probe_grid) > 0):
                 raise ValueError("every probe frequency must lie above 0 rad/s")
-        if self.engine == "cavity" and self.cavity is None:
-            raise ValueError("cavity sweep needs a cavity config")
-        if self.rho_values is not None and len(self.rho_values) == 0:
+        if self.engine == "cavity":
+            if self.cavity is None:
+                raise ValueError("cavity sweep needs a cavity config")
+            if self.phi_values is None or len(self.phi_values) == 0:
+                raise ValueError("cavity sweep needs a non-empty phi grid")
+        rhos = self.resolved_rhos()
+        if len(rhos) == 0:
             raise ValueError("rho grid must be non-empty")
+        if not np.all((0.0 <= rhos) & (rhos <= self.lattice.cell_size)):
+            raise ValueError("intracell distance must satisfy 0 <= rho <= a")
         if self.engine in ("bands", "gaps"):
             if self.n_q < 3:
                 raise ValueError("need at least three q-points")
@@ -156,10 +162,8 @@ class SweepSpec:
         return np.asarray(self.rho_values, dtype=float)
 
     def resolved_phis(self) -> np.ndarray:
-        if self.phi_values is None:
-            phase = self.cavity.phase if self.cavity is not None else 0.0
-            return np.array([phase])
-        return np.asarray(self.phi_values, dtype=float)
+        """The phi grid; [0.0] for the engines that take no phi."""
+        return np.asarray([0.0] if self.phi_values is None else self.phi_values, dtype=float)
 
 
 def _run_cells(table: Table, cells: list[dict], run, failed) -> list:
@@ -270,8 +274,8 @@ def _transmit_table(spec: SweepSpec) -> Table:
     columns = base_cols if single else ["rho_over_a"] + base_cols
     table = Table(columns, meta={"engine": "transmit", "rho_values": list(map(float, rhos))})
     grid = np.asarray(spec.probe_grid, dtype=float)
-    # the omega_p and detuning axes, shared by every cell
-    detuning = (grid - cfg.species_even.transition_frequency) / cfg.species_even.linewidth
+    # the omega_p and detuning axes (from the even line, in gamma), shared by every cell
+    detuning = (grid - cfg.species_even.transition_frequency) / spec.reference_linewidth
 
     def run(coords):
         result = transfer_matrix.spectrum_scan(cfg.replace(intracell_distance=coords["rho"]), grid)

@@ -65,14 +65,13 @@ def fiber_lattice(omega0):
     return make_lattice(omega0, cells=100, areal_density=4.0 / (math.pi * (5e-6) ** 2))
 
 
-def make_cavity(omega0, phase, cells=100, occupancy=3000.0, pump=1.0, **kwargs):
+def make_cavity(omega0, cells=100, occupancy=3000.0, pump=1.0, **kwargs):
     """The 85 mm resonator setup, commensurate with the lattice (k a/pi = 2)."""
     defaults = dict(
         mode_frequency=omega0,
         linewidth=TWO_PI * 21e3,
         length=85e-3,
         waist=130e-6,
-        phase=phase,
         pump=pump,
         cell_count=cells,
         commensurate=True,

@@ -72,7 +72,7 @@ def cooperativity(cell_count: int, coupling_sq: float, kappa: float, gamma: floa
     return cell_count * coupling_sq / (kappa * gamma)
 
 
-def fabry_perot_transmission(cavity, lattice, probe) -> np.ndarray:
+def fabry_perot_transmission(cavity, lattice, probe, phi) -> np.ndarray:
     """Transmission T of a Fabry-Perot resonator with the lattice inside.
 
     The resonator is two lossless mirror sheets, planes of real xi_m with
@@ -81,7 +81,7 @@ def fabry_perot_transmission(cavity, lattice, probe) -> np.ndarray:
     ``cavity.length`` so that r_m^2 e^{2 i k_c L} = 1: an empty-cavity
     resonance sits at omega_c.  Near the middle, the even sites sit where
     the empty mode's standing wave cos(k_c (x - L) - arg(r_m) / 2) has phase
-    ``cavity.phase``, and the odd sites rho further on.  The lattice
+    ``phi``, and the odd sites rho further on.  The lattice
     (``lattice``'s cell size, rho and species, at the density
     occupancy / (pi w_c^2 / 4) of the cavity coupling) enters as
     (cell)^M, M = ``cavity.cell_count``, by repeated squaring.  Elementwise
@@ -94,8 +94,8 @@ def fabry_perot_transmission(cavity, lattice, probe) -> np.ndarray:
     arg_r = cmath.phase(1j * xi_m / (1.0 - 1j * xi_m))
     length = (math.pi * round((k_c * cavity.length + arg_r) / math.pi) - arg_r) / k_c
     # from the first even site to the second mirror: k_c D = -phi - arg_r/2 (mod pi)
-    turns = round((k_c * length / 2.0 + cavity.phase + arg_r / 2.0) / math.pi)
-    to_mirror = (math.pi * turns - cavity.phase - arg_r / 2.0) / k_c
+    turns = round((k_c * length / 2.0 + phi + arg_r / 2.0) / math.pi)
+    to_mirror = (math.pi * turns - phi - arg_r / 2.0) / k_c
     span = cavity.cell_count * lattice.cell_size
     density = cavity.occupancy / (math.pi * cavity.waist**2 / 4.0)
     cell = dimer_matrix(lattice.replace(areal_density=density), omega)

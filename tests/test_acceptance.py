@@ -191,13 +191,13 @@ def test_criterion_06_gap_multiplicity(omega0):
 
 def test_criterion_07_empty_cavity_equivalence(omega0):
     t0 = time.perf_counter()
-    cav = make_cavity(omega0, phase=math.pi / 2)
+    cav = make_cavity(omega0)
     sp = AtomSpecies(omega0 - 10 * GAMMA, GAMMA)
     worst = 0.0
     for omega_p in omega0 + np.linspace(-50, 50, 1000) * GAMMA:
         delta_c = omega0 - omega_p
         empty = 2 * cav.linewidth * cav.pump**2 / (delta_c**2 + cav.linewidth**2)
-        got = output_intensity(cav, sp, sp, omega_p, 0.0)
+        got = output_intensity(cav, sp, sp, omega_p, 0.0, math.pi / 2)
         worst = max(worst, abs(got - empty) / empty)
     ok = worst < 1e-10
     report(7, ok, f"phi=pi/2, rho=0 output equals empty-cavity Lorentzian "
@@ -208,7 +208,7 @@ def test_criterion_07_empty_cavity_equivalence(omega0):
 def test_criterion_08_rabi_splitting(omega0, cell_size):
     t0 = time.perf_counter()
     sp = AtomSpecies(omega0 - 10 * GAMMA, GAMMA)
-    cav = make_cavity(omega0, phase=0.0)
+    cav = make_cavity(omega0)
     g_eff = math.sqrt(cav.occupancy) * cavity_coupling(sp, cav)
     checks, details = [], []
     for rho_frac in (0.0, 0.2):
@@ -217,7 +217,7 @@ def test_criterion_08_rabi_splitting(omega0, cell_size):
         predicted = rabi_peak_frequencies(omega0, sp.transition_frequency, cav.cell_count, r_eff)
         for pred in predicted:
             grid = np.linspace(pred - 20 * KAPPA, pred + 20 * KAPPA, 201)  # step = kappa/5
-            intensity = np.array([output_intensity(cav, sp, sp, w, rho) for w in grid])
+            intensity = np.array([output_intensity(cav, sp, sp, w, rho, 0.0) for w in grid])
             peaks = extract_peaks(grid, intensity)
             assert peaks, "no local maximum near the predicted peak"
             dev = min(abs(p - pred) for p in peaks) / KAPPA
@@ -226,9 +226,8 @@ def test_criterion_08_rabi_splitting(omega0, cell_size):
     # phi contrast at rho = 0.2a
     probe = omega0 + np.linspace(-40, 40, 2001) * GAMMA
     rho = 0.2 * cell_size
-    i_phi0 = np.array([output_intensity(cav, sp, sp, w, rho) for w in probe])
-    cav_quarter = make_cavity(omega0, phase=math.pi / 2)
-    i_phi1 = np.array([output_intensity(cav_quarter, sp, sp, w, rho) for w in probe])
+    i_phi0 = np.array([output_intensity(cav, sp, sp, w, rho, 0.0) for w in probe])
+    i_phi1 = np.array([output_intensity(cav, sp, sp, w, rho, math.pi / 2) for w in probe])
     contrast = float(np.max(np.abs(i_phi0 - i_phi1) / np.maximum(i_phi0, i_phi1)))
     checks.append(contrast > 0.10)
     ok = all(checks)
@@ -242,13 +241,13 @@ def test_criterion_09_transparency_scaling(omega0):
     sp = AtomSpecies(omega0, GAMMA)   # Delta = 0 at omega_p = omega0
     coops, intensities = [], []
     for scale in np.logspace(0, 3, 120):
-        cav = make_cavity(omega0, phase=0.0, commensurate=False, occupancy=0.343 * scale)
+        cav = make_cavity(omega0, commensurate=False, occupancy=0.343 * scale)
         g = math.sqrt(cav.occupancy) * cavity_coupling(sp, cav)
         r = collective_coupling_squared(g, g, cav.wavevector, 0.0, 0.0, False)
         c = cooperativity(cav.cell_count, r, cav.linewidth, GAMMA)
         if not 10.0 <= c <= 1e4:
             continue
-        ss = steady_state(cav, sp, sp, omega0, 0.0)
+        ss = steady_state(cav, sp, sp, omega0, 0.0, 0.0)
         coops.append(c)
         intensities.append(2 * cav.linewidth * abs(ss.cavity_amplitude) ** 2)
     assert len(coops) > 60
@@ -289,7 +288,7 @@ def test_criterion_10_oracle_suites(omega0):
 
     # (b) steady state vs printed output-intensity form
     sp = AtomSpecies(omega0 - 10 * GAMMA, GAMMA)
-    cav = make_cavity(omega0, phase=0.4)
+    cav = make_cavity(omega0)
     rho = 0.17 * (2 * math.pi * 299792458.0 / omega0)
     g_eff = math.sqrt(cav.occupancy) * cavity_coupling(sp, cav)
     r_eff = collective_coupling_squared(g_eff, g_eff, cav.wavevector, rho, 0.4, True)
@@ -299,8 +298,8 @@ def test_criterion_10_oracle_suites(omega0):
             omega0 - omega_p, sp.transition_frequency - omega_p,
             cav.linewidth, GAMMA, cav.cell_count, r_eff, cav.pump,
         )
-        solved = steady_state(cav, sp, sp, omega_p, rho).cavity_amplitude
-        for got in (output_intensity(cav, sp, sp, omega_p, rho),
+        solved = steady_state(cav, sp, sp, omega_p, rho, 0.4).cavity_amplitude
+        for got in (output_intensity(cav, sp, sp, omega_p, rho, 0.4),
                     2 * cav.linewidth * abs(solved) ** 2):
             worst_ss = max(worst_ss, abs(got - expected) / expected)
     ok_ss = worst_ss < 1e-12

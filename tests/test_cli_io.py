@@ -215,7 +215,7 @@ def test_bundled_fig9_cavity_setup():
     assert cav.linewidth == pytest.approx(TWO_PI * 21e3)
     assert cav.waist == pytest.approx(130e-6)
     assert cav.occupancy == 3000
-    assert cav.phase == pytest.approx(math.pi / 2)
+    assert list(cfg.sweep.phi_values) == pytest.approx([math.pi / 2])
     assert cav.cell_count == 100
 
 
@@ -854,7 +854,6 @@ def test_cli_engine_mismatch_is_config_error(tmp_path, capsys):
 # parses, so it gets a plain one and 0.
 BOUNDARY_CASES = [
     ("fig4", "rho_points", ["1"], ["0"], {}),
-    ("fig6", "cells", ["1"], ["0"], {"planes": None}),
     ("fig6", "planes", ["2"], ["1"], {}),
     ("fig2a", "n_bz", ["1"], ["0"], {}),   # a bands config has no window to keep below n_bz omega_0
     ("fig2a", "n_q", ["3"], ["2"], {}),
@@ -1043,12 +1042,12 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
          "expected a single value, got a list"),
         ("transmit", bundled_config_text("fig6") + "rho_values = 0, 0.2 a\n",
          "give only one of rho, rho_values, rho_min/rho_max/rho_points"),
-        ("transmit", bundled_config_text("fig6") + "cells = 10\n",
-         "give exactly one of 'cells' and 'planes'"),
+        # planes is the one lattice-size key
+        ("transmit", bundled_config_text("fig6") + "cells = 10\n", "unknown key(s): cells"),
+        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", ""),
+         "missing required key 'planes'"),
         ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 0"),
          "line 9: key 'planes'"),
-        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "cells = 0"),
-         "line 9: key 'cells'"),
         ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 3"),
          "line 9: key 'planes': must be even"),
         ("transmit", bundled_config_text("fig6").replace("5.7e-2 um^-2", "0 um^-2"),
@@ -1236,10 +1235,11 @@ def test_config_fuzz_exits_with_a_code(tmp_path_factory, text):
     assert code in (0, 1, 2)
     assert code != 1 or not out.exists()
     if code == 0:
-        # a non-finite engine value is a failed cell, which has its error entry
+        # a non-finite engine value is a failed cell, which has its error
+        # entry, and a clean table has none: the sidecar exists exactly then
         table = read_table(out)
         engine = [j for j, c in enumerate(table.columns) if is_engine_value(c)]
-        assert np.isfinite(np.array(table.rows)[:, engine]).all() or log.exists()
+        assert log.exists() == (not np.isfinite(np.array(table.rows)[:, engine]).all())
 
 
 def one_value_edits():

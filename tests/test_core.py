@@ -171,12 +171,12 @@ def test_freespace_coupling_concrete_fiber_value(rb):
 
 
 def test_cavity_coupling_concrete_value(rb, omega0):
-    cav = make_cavity(omega0, phase=0.0)
+    cav = make_cavity(omega0)
     assert cavity_coupling(rb, cav) == pytest.approx(1206225.354651841, rel=1e-12)
 
 
 def test_cavity_coupling_scales_with_cross_section(rb, omega0):
-    cav = make_cavity(omega0, phase=0.0)
+    cav = make_cavity(omega0)
     weak = AtomSpecies.from_wavelength(
         LAMBDA_ATOM, GAMMA, cross_section=rb.cross_section / 4
     )
@@ -191,7 +191,7 @@ def test_couplings_reject_unphysical_input(rb, omega0):
     for omega_k in (0.0, -omega0):
         with pytest.raises(ValueError, match="^mode frequency and volume must be positive$"):
             freespace_coupling(rb, omega_k, 1e-15)
-    cav = make_cavity(omega0, phase=0.0)
+    cav = make_cavity(omega0)
     for length in (0.0, -85e-3):
         # CavityConfig refuses such a length itself; the coupling takes any
         # object with a length and a waist

@@ -11,6 +11,7 @@ import pytest
 
 from bilattice import bandstructure, cavity as cavity_mod, transfer_matrix
 from bilattice.cli_io import bundled_config_text, parse_config
+from bilattice.core import AtomSpecies
 from bilattice.sweep import SweepSpec, run_sweep
 from bilattice.tableio import write_table
 
@@ -58,6 +59,35 @@ def test_spec_validation(omega0):
         SweepSpec("gaps", lat, omega0, GAMMA, cover_tol=-1.0)
     with pytest.raises(ValueError, match="^rho grid must be non-empty$"):
         SweepSpec("gaps", lat, omega0, GAMMA, rho_values=np.array([]))
+    # a rho outside the cell is one error for the spec, not one failed cell per rho
+    a = lat.cell_size
+    for rhos in ([0.1 * a, 2 * a, -0.5 * a], [-1e-3 * a], [a * (1 + 1e-12)], [math.nan]):
+        for engine in ("bands", "gaps", "transmit"):
+            probe = np.array([omega0]) if engine == "transmit" else None
+            with pytest.raises(ValueError, match=r"^intracell distance must satisfy 0 <= rho <= a$"):
+                SweepSpec(engine, lat, omega0, GAMMA, probe_grid=probe, rho_values=np.array(rhos))
+    edges = SweepSpec("gaps", lat, omega0, GAMMA, rho_values=np.array([0.0, a]))
+    assert list(edges.resolved_rhos()) == [0.0, a]
+    # a cavity sweep takes its phi grid from the spec alone; the engines that
+    # take no phi resolve to one phi of 0, so a grid's size reads the same way
+    for phis in (None, np.array([])):
+        with pytest.raises(ValueError, match="^cavity sweep needs a non-empty phi grid$"):
+            SweepSpec("cavity", lat, omega0, GAMMA, cavity=make_cavity(omega0),
+                      probe_grid=np.array([omega0]), phi_values=phis)
+    assert list(SweepSpec("gaps", lat, omega0, GAMMA).resolved_phis()) == [0.0]
+
+
+def test_transmit_detuning_is_in_the_reference_gamma(omega0):
+    # gamma_even twice the reference linewidth: the probe window of +-600
+    # gamma, set in the reference gamma, is still +-600 in the table
+    rb = AtomSpecies.named("rb85_d2")
+    text = (bundled_config_text("fig6").replace("probe_points = 4801", "probe_points = 41")
+            + f"gamma_even = {2 * rb.linewidth!r} rad/s\n")
+    spec = parse_config(text).sweep
+    assert spec.lattice.species_even.linewidth == 2 * spec.reference_linewidth
+    table = run_sweep(spec)
+    detuning = [row[table.columns.index("detuning_gamma")] for row in table.rows]
+    assert detuning == pytest.approx(list(np.linspace(-600, 600, 41)), rel=1e-9, abs=1e-9)
 
 
 def test_transmit_single_rho_schema(omega0):
@@ -131,7 +161,7 @@ def test_failed_point_lands_at_its_rho_and_frequency(omega0, monkeypatch):
 def test_spec_refuses_probe_points_at_or_below_zero(omega0, engine, bad):
     # one error for the spec, not one failed cell per rho
     probe = np.array([omega0 - GAMMA, bad, omega0])
-    cavity = make_cavity(omega0, phase=0.0) if engine == "cavity" else None
+    cavity = make_cavity(omega0) if engine == "cavity" else None
     with pytest.raises(ValueError, match="^every probe frequency must lie above 0 rad/s$"):
         SweepSpec(engine, make_lattice(omega0), omega0, GAMMA, cavity=cavity, probe_grid=probe)
 
@@ -165,7 +195,7 @@ def test_failed_cavity_cell_keeps_one_row_per_probe_point(omega0, monkeypatch):
     spec = SweepSpec(
         engine="cavity",
         lattice=lat,
-        cavity=make_cavity(omega0, phase=0.0),
+        cavity=make_cavity(omega0),
         reference_frequency=omega0,
         reference_linewidth=GAMMA,
         probe_grid=probe,
@@ -363,7 +393,7 @@ def test_clean_run_meta_has_no_errors_key(tmp_path):
 
 def test_cavity_engine_table_and_peak_meta(omega0):
     lat = make_lattice(omega0, cells=100)
-    cav = make_cavity(omega0, phase=0.0)
+    cav = make_cavity(omega0)
     spec = SweepSpec(
         engine="cavity",
         lattice=lat,

@@ -1,7 +1,8 @@
-"""tools/tree_report.py: the size it reports for a package's sources."""
+"""tools/tree_report.py: the size and the settable surface it reports."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -17,3 +18,22 @@ def test_source_size_counts_lines_and_code_tokens(tmp_path):
     (tmp_path / "b.py").write_text("z = (1,\n     2)\n")
     (tmp_path / "notes.txt").write_text("not python\n")
     assert tree_report.source_size(tmp_path) == {"lines": 7, "tokens": 7 + 7}
+
+
+def test_settable_surface_counts_keys_fields_and_names():
+    @dataclasses.dataclass
+    class Pair:
+        x: float
+        y: float = 0.0
+        LIMIT = 3   # a class attribute, not a field
+
+    @dataclasses.dataclass(frozen=True)
+    class Empty:
+        pass
+
+    keys = {"engine": ("token", None), "rho": ("length", "in cell"), "planes": ("count", ">= 2")}
+    assert tree_report.settable_surface(keys, (Pair, Empty), ["a", "b"]) == {
+        "config_keys": 3,
+        "fields": {"Pair": 2, "Empty": 0},
+        "public_names": 2,
+    }

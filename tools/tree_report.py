@@ -5,7 +5,11 @@
 ``ROOT`` is a checkout.  The report holds
 
 * ``src``: the lines and the code tokens of ``ROOT/src/bilattice`` (Python's
-  ``tokenize``, without strings, comments or layout tokens);
+  ``tokenize``, without strings, comments or layout tokens), and its
+  settable surface: the number of config keys (``cli_io._KEYS``), the field
+  count of each config dataclass (``AtomSpecies``, ``LatticeConfig``,
+  ``CavityConfig``, ``SweepSpec``) and the number of public names
+  (``bilattice.__all__``);
 * ``outputs``: for each bundled config and each ``perfbench/configgen.py``
   config (seeds 1-3 of gaps, spectra and bands), written as CSV and as JSON
   through ``cli_io.main``, the exit code, the sha256 of the output (null
@@ -13,14 +17,16 @@
 
 Diffing the reports of two checkouts checks in one step that a change keeps
 every output's bytes and exit code, and how it changes the size of the
-sources.  The checkout's own ``src`` and ``perfbench`` are imported, with no
-bytecode written; every output goes to a temporary directory.
+sources and the number of values a caller can set.  The checkout's own
+``src`` and ``perfbench`` are imported, with no bytecode written; every
+output goes to a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -51,6 +57,16 @@ def source_size(package: Path) -> dict:
     return {"lines": lines, "tokens": tokens}
 
 
+def settable_surface(keys, config_classes, public_names) -> dict:
+    """Counts of what a caller can set: config keys, the fields of each
+    config dataclass, and public names."""
+    return {
+        "config_keys": len(keys),
+        "fields": {cls.__name__: len(dataclasses.fields(cls)) for cls in config_classes},
+        "public_names": len(public_names),
+    }
+
+
 def run_output(cli_io, name: str, text: str, fmt: str, work: Path) -> dict:
     """Exit code, output digest and sidecar of one config run through ``cli_io.main``."""
     config, out = work / f"{name}.cfg", work / f"{name}.{fmt}"
@@ -68,8 +84,9 @@ def run_output(cli_io, name: str, text: str, fmt: str, work: Path) -> dict:
 def tree_report(root: Path) -> dict:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import bilattice
     import configgen
-    from bilattice import cli_io
+    from bilattice import cavity, cli_io, core, sweep
 
     if Path(cli_io.__file__).resolve().parents[2] != root.resolve():
         raise SystemExit(f"imported {cli_io.__file__}, not the checkout at {root}")
@@ -85,7 +102,12 @@ def tree_report(root: Path) -> dict:
             for fmt in FORMATS:
                 name = key.rsplit("/", 1)[1]
                 outputs[f"{key}.{fmt}"] = run_output(cli_io, name, text, fmt, Path(tmp))
-    return {"src": source_size(root / "src" / "bilattice"), "outputs": outputs}
+    surface = settable_surface(
+        cli_io._KEYS,
+        (core.AtomSpecies, core.LatticeConfig, cavity.CavityConfig, sweep.SweepSpec),
+        bilattice.__all__,
+    )
+    return {"src": {**source_size(root / "src" / "bilattice"), **surface}, "outputs": outputs}
 
 
 def main(argv=None) -> int:
