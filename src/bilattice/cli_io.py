@@ -30,7 +30,11 @@ The lattice has one density, n_s atoms per unit area of each plane.  The
 ``areal_density`` and ``waist`` (one atom per site over the mode area
 pi w^2 / 4, so n_s = 4 / (pi w^2)); the ``cavity`` engine takes neither, and
 its lattice carries the density its coupling implies, n_s = occupancy /
-(pi w_c^2 / 4).
+(pi w_c^2 / 4).  Its size, ``planes`` = 2M, is a key of the ``transmit``
+and ``cavity`` engines only: the bands and gaps do not depend on M.
+
+The command line has one subcommand, ``scan``; the config's ``engine`` key
+alone names the engine it runs.
 
 Output tables are CSV (header row with units in the column names, numbers at
 12 significant digits) or JSON mirroring the same schema (indent 1, NaN as
@@ -320,11 +324,13 @@ def _parse(text: str) -> RunConfig:
         raise ConfigError("missing required key 'rho' (or 'rho_values', or a rho range)")
     rho = get("rho") if rho_values is None else float(rho_values[0])
 
-    # bands and gaps do not depend on M, so any positive M works there
-    planes = get("planes") if engine in ("transmit", "cavity") else get("planes", 200)
-    cell_count, odd = divmod(planes, 2)
-    if odd:
-        entries["planes"].fail("must be even (two planes per cell)")
+    # M shapes only the transmit and cavity spectra; the bands and gaps do
+    # not depend on it, so their configs take no planes and any M serves
+    cell_count = 100
+    if engine in ("transmit", "cavity"):
+        cell_count, odd = divmod(get("planes"), 2)
+        if odd:
+            entries["planes"].fail("must be even (two planes per cell)")
 
     spec_kwargs = dict(
         engine=engine,
@@ -494,18 +500,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photonic spectra of one-dimensional biperiodic atomic lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("bands", "polariton dispersion on a q-grid"),
-        ("gaps", "bandgap inventory versus intracell distance"),
-        ("transmit", "probe transmission/reflection spectra"),
-        ("cavity", "intracavity output spectra"),
-        ("scan", "run whatever engine the config selects"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", required=True,
-                       help="config file path or bundled name (fig2a ... fig10)")
-        p.add_argument("--out", default="-", help="output file ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p = sub.add_parser("scan", help="run the engine the config selects")
+    p.add_argument("--config", required=True,
+                   help="config file path or bundled name (fig2a ... fig10)")
+    p.add_argument("--out", default="-", help="output file ('-' = stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -513,11 +512,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(_load_config(args.config))
-        if args.command not in ("scan", cfg.sweep.engine):
-            raise ConfigError(
-                f"subcommand {args.command!r} does not match config engine "
-                f"{cfg.sweep.engine!r}; use 'scan' to defer to the config"
-            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

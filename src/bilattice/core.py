@@ -12,8 +12,10 @@ Conventions
   alpha = (3 lambda_p^3 / 16 pi^3) * (2 delta/gamma + i) / (1 + 4 delta^2/gamma^2),
   chosen so that the sheet parameter xi = 2 pi k_p n_s alpha is dimensionless
   with Im(xi) >= 0 and xi(resonance) = i n_s sigma_0 / 2.
-* Resonant cross section sigma_0 = 3 lambda^2 / 2 pi; dipole moment from the
-  radiative linewidth, D^2 = 3 pi eps0 hbar c^3 gamma / omega^3.
+* A species is its (omega, gamma): the resonant cross section
+  sigma_0 = 3 lambda^2 / 2 pi and the dipole moment of the radiative
+  linewidth, D^2 = 3 pi eps0 hbar c^3 gamma / omega^3, follow from them, so
+  all three engines see one strength.
 """
 
 from __future__ import annotations
@@ -26,46 +28,28 @@ import numpy as np
 from .constants import C, EPS0, HBAR, NAMED_TRANSITIONS, TWO_PI
 
 
-def _sigma0(wavelength: float) -> float:
-    return 3.0 * wavelength**2 / TWO_PI
-
-
-def _dipole_from_linewidth(omega: float, gamma: float) -> float:
-    return math.sqrt(3.0 * math.pi * EPS0 * HBAR * C**3 * gamma / omega**3)
-
-
 @dataclass(frozen=True)
 class AtomSpecies:
-    """One dipolar transition: frequency, linewidth, strength.
+    """One dipolar transition, fixed by its frequency and linewidth.
 
-    The wavelength lambda_j = 2 pi c / omega_j is derived from the frequency.
-    At most one of ``cross_section`` / ``dipole_moment`` (keyword-only) may be
-    supplied; whichever is missing is derived (resonant cross section
-    3 lambda^2/2 pi, dipole from the radiative-linewidth relation).
+    The wavelength lambda_j = 2 pi c / omega_j is derived from the frequency,
+    and so is the strength every engine reads: the resonant cross section
+    3 lambda^2/2 pi (transfer matrix, cavity) and the dipole moment of the
+    radiative-linewidth relation (Bloch bands), both set at construction.
     """
 
     transition_frequency: float          # omega_j [rad/s]
     linewidth: float                     # gamma_j [rad/s]
-    cross_section: float = field(default=None, kw_only=True)   # varsigma [m^2]
-    dipole_moment: float = field(default=None, kw_only=True)   # |D_j| [C m]
+    cross_section: float = field(init=False)   # varsigma [m^2]
+    dipole_moment: float = field(init=False)   # |D_j| [C m]
 
     def __post_init__(self):
         if self.transition_frequency <= 0 or self.linewidth <= 0:
             raise ValueError("transition frequency and linewidth must be positive")
-        if self.cross_section is not None and self.dipole_moment is not None:
-            raise ValueError("give at most one of cross_section, dipole_moment")
-        if self.cross_section is None:
-            object.__setattr__(self, "cross_section", _sigma0(self.transition_wavelength))
-        elif self.cross_section < 0:
-            raise ValueError("cross section must be non-negative")
-        if self.dipole_moment is None:
-            object.__setattr__(
-                self,
-                "dipole_moment",
-                _dipole_from_linewidth(self.transition_frequency, self.linewidth),
-            )
-        elif self.dipole_moment < 0:
-            raise ValueError("dipole moment must be non-negative")
+        omega, gamma = self.transition_frequency, self.linewidth
+        object.__setattr__(self, "cross_section", 3.0 * self.transition_wavelength**2 / TWO_PI)
+        object.__setattr__(self, "dipole_moment",
+                           math.sqrt(3.0 * math.pi * EPS0 * HBAR * C**3 * gamma / omega**3))
 
     @property
     def transition_wavelength(self) -> float:
@@ -73,8 +57,8 @@ class AtomSpecies:
         return TWO_PI * C / self.transition_frequency
 
     @classmethod
-    def from_wavelength(cls, wavelength: float, gamma: float, **kwargs) -> "AtomSpecies":
-        return cls(TWO_PI * C / wavelength, gamma, **kwargs)
+    def from_wavelength(cls, wavelength: float, gamma: float) -> "AtomSpecies":
+        return cls(TWO_PI * C / wavelength, gamma)
 
     @classmethod
     def named(cls, name: str) -> "AtomSpecies":

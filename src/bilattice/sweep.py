@@ -99,12 +99,20 @@ class Table:
         return self.meta.setdefault("errors", [])
 
 
+# the fields only some engines read; a spec for another engine leaves them at
+# their defaults
+_ENGINE_FIELDS = {"bands": {"n_bz", "n_q", "q_max"},
+                  "gaps": {"n_bz", "n_q", "window", "cover_tol", "min_band_width"},
+                  "transmit": {"probe_grid"}, "cavity": {"cavity", "probe_grid", "phi_values"}}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Fully resolved sweep: engine, fixed configs and absolute-unit grids.
 
     All frequencies are rad/s; output tables convert to linewidth units
-    against (reference_frequency, reference_linewidth).
+    against (reference_frequency, reference_linewidth).  A field that the
+    engine does not read must keep its default.
     """
 
     engine: str
@@ -125,6 +133,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; pick one of {ENGINES}")
+        for name in sorted(set().union(*_ENGINE_FIELDS.values()) - _ENGINE_FIELDS[self.engine]):
+            value, default = getattr(self, name), getattr(SweepSpec, name)
+            if value is not default and (default is None or value != default):
+                raise ValueError(f"a {self.engine} sweep does not read {name}")
         if self.engine in ("transmit", "cavity"):
             if self.probe_grid is None or len(self.probe_grid) == 0:
                 raise ValueError(f"{self.engine} sweep needs a non-empty probe grid")
@@ -135,26 +147,25 @@ class SweepSpec:
                 raise ValueError("cavity sweep needs a cavity config")
             if self.phi_values is None or len(self.phi_values) == 0:
                 raise ValueError("cavity sweep needs a non-empty phi grid")
+            if not np.all(np.isfinite(self.phi_values)):
+                raise ValueError("every phi must be finite")
         rhos = self.resolved_rhos()
         if len(rhos) == 0:
             raise ValueError("rho grid must be non-empty")
         if not np.all((0.0 <= rhos) & (rhos <= self.lattice.cell_size)):
             raise ValueError("intracell distance must satisfy 0 <= rho <= a")
-        if self.engine in ("bands", "gaps"):
-            if self.n_q < 3:
-                raise ValueError("need at least three q-points")
-            if self.n_bz < 1:
-                raise ValueError("need at least one Brillouin zone")
-        if self.engine == "bands" and self.q_max is not None:
-            if not 0 < self.q_max <= self.lattice.reciprocal_vector / 2:
-                raise ValueError("q_max must lie in (0, G0/2]")
-        if self.engine == "gaps":
-            if self.window is not None:
-                low, high = self.window
-                if not (np.isfinite(low) and np.isfinite(high) and low < high):
-                    raise ValueError("gap window must be finite and increasing")
-            if self.cover_tol is not None and self.cover_tol < 0.0:
-                raise ValueError("cover_tol must be >= 0")
+        # the engines that do not read these fields hold their valid defaults
+        if self.n_q < 3:
+            raise ValueError("need at least three q-points")
+        if self.n_bz < 1:
+            raise ValueError("need at least one Brillouin zone")
+        if self.q_max is not None and not 0 < self.q_max <= self.lattice.reciprocal_vector / 2:
+            raise ValueError("q_max must lie in (0, G0/2]")
+        if self.window is not None and not (np.all(np.isfinite(self.window))
+                                            and self.window[0] < self.window[1]):
+            raise ValueError("gap window must be finite and increasing")
+        if self.cover_tol is not None and self.cover_tol < 0.0:
+            raise ValueError("cover_tol must be >= 0")
 
     def resolved_rhos(self) -> np.ndarray:
         if self.rho_values is None:

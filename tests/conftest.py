@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -17,6 +18,17 @@ LAMBDA_ATOM = 780e-9
 @pytest.fixture(scope="session")
 def rb():
     return AtomSpecies.from_wavelength(LAMBDA_ATOM, GAMMA)
+
+
+def with_strength(species, factor):
+    """Test double: a copy of ``species`` whose oscillator strength is scaled
+    by ``factor`` after construction, its cross section by ``factor`` and its
+    dipole moment by sqrt(factor).  ``factor = 0`` gives atoms that do not
+    couple to light.  ``AtomSpecies`` itself derives both from (omega, gamma)."""
+    double = copy.copy(species)
+    object.__setattr__(double, "cross_section", factor * species.cross_section)
+    object.__setattr__(double, "dipole_moment", math.sqrt(factor) * species.dipole_moment)
+    return double
 
 
 @pytest.fixture(scope="session")

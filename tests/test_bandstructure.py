@@ -26,13 +26,13 @@ from bilattice.cli_io import bundled_config_text, parse_config
 from bilattice.constants import C, TWO_PI
 from bilattice.core import AtomSpecies, LatticeConfig
 
-from conftest import GAMMA, make_lattice
+from conftest import GAMMA, make_lattice, with_strength
 
 
 def decoupled_lattice(omega0, rho_frac=0.2):
     """Identical geometry but zero dipole moment: light and spins decouple."""
     a = TWO_PI * C / omega0
-    dark = AtomSpecies(omega0 - 10 * GAMMA, GAMMA, dipole_moment=0.0)
+    dark = with_strength(AtomSpecies(omega0 - 10 * GAMMA, GAMMA), 0.0)
     return LatticeConfig(
         cell_size=a,
         intracell_distance=rho_frac * a,

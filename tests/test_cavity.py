@@ -22,7 +22,7 @@ from bilattice.cavity import (
 from bilattice.constants import TWO_PI
 from bilattice.core import AtomSpecies, cavity_coupling
 
-from conftest import GAMMA, LAMBDA_ATOM, make_cavity, make_lattice
+from conftest import GAMMA, LAMBDA_ATOM, make_cavity, make_lattice, with_strength
 from oracles import cooperativity
 
 KAPPA = TWO_PI * 21e3
@@ -134,9 +134,7 @@ def test_zero_pump_zero_amplitudes(omega0, lattice):
 
 
 def test_uncoupled_atoms_give_bare_lorentzian(omega0, lattice):
-    dark = AtomSpecies(
-        lattice.species_even.transition_frequency, GAMMA, cross_section=0.0
-    )
+    dark = with_strength(lattice.species_even, 0.0)
     cav = make_cavity(omega0)
     omega_p = omega0 + 4 * GAMMA
     ss = steady_state(cav, dark, dark, omega_p, 0.0, 0.0)

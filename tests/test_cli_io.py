@@ -410,7 +410,7 @@ def test_read_only_output_still_fails_with_exit_2(tmp_path, capsys):
     out = tmp_path / "out.csv"
     out.write_bytes(OLD_BYTES)
     out.chmod(0o444)
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 2
     assert "cannot write table" in capsys.readouterr().err
     assert out.read_bytes() == OLD_BYTES
 
@@ -444,7 +444,7 @@ def test_cli_errors_go_to_stderr_with_stdout_output(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(transfer_matrix, "spectrum_scan", failing_above_rho_0)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL_TRANSMIT.replace("rho = 0 a", "rho_values = 0, 0.2 a"))
-    assert run_cli(["transmit", "--config", str(cfg)]) == 0
+    assert run_cli(["scan", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
     assert [ln.endswith(",nan,nan,nan") for ln in rows] == [False] * 11 + [True] * 11
@@ -808,9 +808,9 @@ def test_fallback_renders_only_near_ties_of_certified_range(monkeypatch):
 def test_stdout_gets_the_bytes_of_the_file(tmp_path, capsysbinary, fmt):
     # fig10: three cells with a (rho, phi) prefix, of five row blocks each
     out = tmp_path / f"fig10.{fmt}"
-    assert main(["cavity", "--config", "fig10", "--format", fmt, "--out", str(out)]) == 0
+    assert main(["scan", "--config", "fig10", "--format", fmt, "--out", str(out)]) == 0
     capsysbinary.readouterr()
-    assert main(["cavity", "--config", "fig10", "--format", fmt, "--out", "-"]) == 0
+    assert main(["scan", "--config", "fig10", "--format", fmt, "--out", "-"]) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
@@ -826,7 +826,7 @@ def test_cli_transmit_to_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL_TRANSMIT)
     out = tmp_path / "spectrum.csv"
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "omega_p_rad_s,detuning_gamma,T,R,A"
     assert len(lines) == 12
@@ -839,13 +839,6 @@ def test_cli_scan_defers_to_config(tmp_path):
     assert run_cli(["scan", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
     doc = json.loads(out.read_text())
     assert doc["columns"][0] == "omega_p_rad_s"
-
-
-def test_cli_engine_mismatch_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL_TRANSMIT)
-    assert run_cli(["cavity", "--config", str(cfg)]) == 1
-    assert "does not match" in capsys.readouterr().err
 
 
 # Each rule of cli_io._KEYS at its boundary: (base config, key, values that
@@ -920,154 +913,153 @@ def test_key_rule_holds_at_its_boundary(name, key, inside, past, others):
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out.csv"
-    for command, text, named in (
-        ("transmit", MINIMAL_TRANSMIT + "mystery = 1\n", "unknown key"),
+    for text, named in (
+        (MINIMAL_TRANSMIT + "mystery = 1\n", "unknown key"),
         # a typo is reported before any value is read, even a bad one
-        ("transmit", MINIMAL_TRANSMIT.replace("probe_points", "probe_pts"),
+        (MINIMAL_TRANSMIT.replace("probe_points", "probe_pts"),
          "unknown key(s): probe_pts"),
-        ("transmit", MINIMAL_TRANSMIT.replace("probe_points", "probe_pts")
+        (MINIMAL_TRANSMIT.replace("probe_points", "probe_pts")
          .replace("rho = 0 a", "rho = 3 parsec"), "unknown key(s): probe_pts"),
         # a known key that this engine, or this species, does not read
-        ("gaps", bundled_config_text("fig4") + "q_max = 2.5e-5 G0\n",
+        (bundled_config_text("fig4") + "q_max = 2.5e-5 G0\n",
          "unknown key(s) for this 'gaps' config: q_max"),
-        ("cavity", bundled_config_text("fig9") + "n_q = 11\n", "'cavity' config: n_q"),
-        ("transmit", MINIMAL_TRANSMIT + "wavelength = 780 nm\n", "config: wavelength"),
+        (bundled_config_text("fig9") + "n_q = 11\n", "'cavity' config: n_q"),
+        (MINIMAL_TRANSMIT + "wavelength = 780 nm\n", "config: wavelength"),
         # no longer a key: it was metadata that no formula read
         (
-            "cavity",
             bundled_config_text("fig9") + "mirror_reflectivity = 0.999982\n",
             "unknown key",
         ),
         # no longer a key: sweeps run their cells one after the other
-        ("transmit", MINIMAL_TRANSMIT + "workers = 2\n", "unknown key"),
+        (MINIMAL_TRANSMIT + "workers = 2\n", "unknown key"),
         # the cavity lattice takes its density from the cavity coupling
         (
-            "cavity",
             bundled_config_text("fig9") + "areal_density = 5.7e-2 um^-2\n",
             "unknown key",
         ),
-        ("cavity", bundled_config_text("fig9") + "waist = 5 um\n", "unknown key"),
+        (bundled_config_text("fig9") + "waist = 5 um\n", "unknown key"),
         # truncations the band engines cannot use: a q-grid needs three
         # points, the photon basis at least one zone on each side
-        ("gaps", bundled_config_text("fig4").replace("n_q = 201", "n_q = 2"), "key 'n_q'"),
-        ("gaps", bundled_config_text("fig4").replace("n_bz = 40", "n_bz = -3"), "key 'n_bz'"),
-        ("bands", bundled_config_text("fig2a").replace("n_bz = 40", "n_bz = 0"), "key 'n_bz'"),
-        ("bands", bundled_config_text("fig2a").replace("n_q = 401", "n_q = 2"), "key 'n_q'"),
+        (bundled_config_text("fig4").replace("n_q = 201", "n_q = 2"), "key 'n_q'"),
+        (bundled_config_text("fig4").replace("n_bz = 40", "n_bz = -3"), "key 'n_bz'"),
+        (bundled_config_text("fig2a").replace("n_bz = 40", "n_bz = 0"), "key 'n_bz'"),
+        (bundled_config_text("fig2a").replace("n_q = 401", "n_q = 2"), "key 'n_q'"),
         # detunings that put the lattice light or a transition at or below 0
         (
-            "transmit",
             bundled_config_text("fig6").replace(
                 "lattice_detuning = 10 gamma", "lattice_detuning = -1e9 gamma"
             ),
             "line 5: key 'lattice_detuning'",
         ),
         (
-            "gaps",
             bundled_config_text("fig4").replace(
                 "omega_odd = 530 gamma", "omega_odd = -6.6e7 gamma"
             ),
             "line 7: key 'omega_odd'",
         ),
         # a rho range needs at least one point
-        ("gaps", bundled_config_text("fig4").replace("rho_points = 51", "rho_points = 0"),
+        (bundled_config_text("fig4").replace("rho_points = 51", "rho_points = 0"),
          "line 11: key 'rho_points'"),
-        ("gaps", bundled_config_text("fig4").replace("rho_points = 51", "rho_points = -1"),
+        (bundled_config_text("fig4").replace("rho_points = 51", "rho_points = -1"),
          "line 11: key 'rho_points'"),
         # the phase grid is given once, as rho is
-        ("cavity", bundled_config_text("fig9") + "phase_values = 0, 0.25 pi\n", "phase_values"),
+        (bundled_config_text("fig9") + "phase_values = 0, 0.25 pi\n", "phase_values"),
         # intensity_norm divides by the empty-cavity peak, which needs a pump
-        ("cavity", bundled_config_text("fig9") + "pump = 0 rad/s\n", "key 'pump'"),
-        ("cavity", bundled_config_text("fig9") + "pump = -2 rad/s\n", "key 'pump'"),
+        (bundled_config_text("fig9") + "pump = 0 rad/s\n", "key 'pump'"),
+        (bundled_config_text("fig9") + "pump = -2 rad/s\n", "key 'pump'"),
         # every rho lies in the cell and q_max in the half zone; these ran
         # as all-NaN tables with one error entry per rho and exited 0
-        ("bands", bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = 2 G0"),
+        (bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = 2 G0"),
          "line 12: key 'q_max': must lie in (0, G0/2]"),
-        ("bands", bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = 0 G0"),
+        (bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = 0 G0"),
          "line 12: key 'q_max'"),
-        ("bands", bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = -1 rad/m"),
+        (bundled_config_text("fig2a").replace("q_max = 2.5e-5 G0", "q_max = -1 rad/m"),
          "line 12: key 'q_max'"),
-        ("gaps", bundled_config_text("fig4").replace("rho_max = 1 a", "rho_max = -1 a"),
+        (bundled_config_text("fig4").replace("rho_max = 1 a", "rho_max = -1 a"),
          "line 10: key 'rho_max': must satisfy 0 <= rho <= a"),
-        ("gaps", bundled_config_text("fig4").replace("rho_min = 0 a", "rho_min = -0.1 a"),
+        (bundled_config_text("fig4").replace("rho_min = 0 a", "rho_min = -0.1 a"),
          "line 9: key 'rho_min'"),
-        ("gaps", bundled_config_text("fig4").replace("rho_max = 1 a", "rho_max = 1.01 a"),
+        (bundled_config_text("fig4").replace("rho_max = 1 a", "rho_max = 1.01 a"),
          "line 10: key 'rho_max'"),
-        ("bands", bundled_config_text("fig2a").replace("0, 0.2, 0.4 a", "0, 1.5, 0.4 a"),
+        (bundled_config_text("fig2a").replace("0, 0.2, 0.4 a", "0, 1.5, 0.4 a"),
          "line 9: key 'rho_values'"),
-        ("cavity", bundled_config_text("fig9").replace("0, 0.2, 0.4 a", "0, 0.2, -0.4 a"),
+        (bundled_config_text("fig9").replace("0, 0.2, 0.4 a", "0, 0.2, -0.4 a"),
          "line 8: key 'rho_values'"),
-        ("transmit", MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 1.5 a"), "line 6: key 'rho'"),
+        (MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 1.5 a"), "line 6: key 'rho'"),
         # a malformed quantity; this error named no key or line
-        ("transmit", MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 0 a b"), "line 6: key 'rho'"),
+        (MINIMAL_TRANSMIT.replace("rho = 0 a", "rho = 0 a b"), "line 6: key 'rho'"),
         # finite values whose arithmetic overflows or divides by zero; these
         # ended in a traceback (omega^3 of the dipole, 4 / (pi w^2))
-        ("gaps", bundled_config_text("fig4").replace("omega_odd = 530 gamma",
-                                                     "omega_odd = 1e300 gamma"),
+        (bundled_config_text("fig4").replace("omega_odd = 530 gamma",
+                                             "omega_odd = 1e300 gamma"),
          "line 7: key 'omega_odd'"),
         # the first species the lattice light's frequency overflows
-        ("transmit", bundled_config_text("fig6").replace("lattice_detuning = 10 gamma",
-                                                         "lattice_detuning = 1e300 gamma"),
+        (bundled_config_text("fig6").replace("lattice_detuning = 10 gamma",
+                                             "lattice_detuning = 1e300 gamma"),
          "line 6: key 'omega_even'"),
-        ("bands", bundled_config_text("fig2a").replace("waist = 5 um", "waist = 1e-300 um"),
+        (bundled_config_text("fig2a").replace("waist = 5 um", "waist = 1e-300 um"),
          "line 8: key 'waist'"),
-        ("bands", bundled_config_text("fig2a").replace("waist = 5 um", "waist = 1e300 um"),
+        (bundled_config_text("fig2a").replace("waist = 5 um", "waist = 1e300 um"),
          "line 8: key 'waist'"),
-        ("cavity", bundled_config_text("fig9").replace("cavity_waist = 130 um",
-                                                       "cavity_waist = 1e-300 um"),
+        (bundled_config_text("fig9").replace("cavity_waist = 130 um",
+                                             "cavity_waist = 1e-300 um"),
          "line 12: key 'cavity_waist'"),
-        ("cavity", bundled_config_text("fig9").replace("cavity_waist = 130 um",
-                                                       "cavity_waist = 1e300 um"),
+        (bundled_config_text("fig9").replace("cavity_waist = 130 um",
+                                             "cavity_waist = 1e300 um"),
          "line 12: key 'cavity_waist'"),
         # values checked where they are read; these errors named no key or line
-        ("cavity", bundled_config_text("fig9").replace("kappa = 21 kHz", "kappa = -21 kHz"),
+        (bundled_config_text("fig9").replace("kappa = 21 kHz", "kappa = -21 kHz"),
          "line 11: key 'kappa': must be positive"),
-        ("cavity", bundled_config_text("fig9").replace("85 mm", "0 mm"),
+        (bundled_config_text("fig9").replace("85 mm", "0 mm"),
          "line 10: key 'cavity_length': must be positive"),
-        ("cavity", bundled_config_text("fig9").replace("130 um", "0 um"),
+        (bundled_config_text("fig9").replace("130 um", "0 um"),
          "line 12: key 'cavity_waist': must be positive"),
-        ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 0"),
+        (bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 0"),
          "line 13: key 'occupancy': must be positive"),
         # no longer a key: no formula read it, and kappa sets the linewidth
-        ("cavity", bundled_config_text("fig9") + "finesse = 170000\n",
+        (bundled_config_text("fig9") + "finesse = 170000\n",
          "unknown key(s): finesse"),
         # a plain number's unit error names its kind
-        ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 3000 kHz"),
+        (bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 3000 kHz"),
          "line 13: key 'occupancy': number takes no unit, got 'kHz'"),
         # malformed lines and values, and rules that tie keys together
-        ("transmit", bundled_config_text("fig6").replace("rho = 0 a", "rho ="),
+        (bundled_config_text("fig6").replace("rho = 0 a", "rho ="),
          "line 8: empty key or value"),
-        ("gaps", bundled_config_text("fig4").replace("n_q = 201", "n_q = abc"),
+        (bundled_config_text("fig4").replace("n_q = 201", "n_q = abc"),
          "line 13: key 'n_q': expected number(s)"),
-        ("transmit", bundled_config_text("fig6").replace("rho = 0 a", "rho = 0.1, 0.2 a"),
+        (bundled_config_text("fig6").replace("rho = 0 a", "rho = 0.1, 0.2 a"),
          "expected a single value, got a list"),
-        ("transmit", bundled_config_text("fig6") + "rho_values = 0, 0.2 a\n",
+        (bundled_config_text("fig6") + "rho_values = 0, 0.2 a\n",
          "give only one of rho, rho_values, rho_min/rho_max/rho_points"),
-        # planes is the one lattice-size key
-        ("transmit", bundled_config_text("fig6") + "cells = 10\n", "unknown key(s): cells"),
-        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", ""),
+        # planes is the one lattice-size key, and only the engines whose
+        # spectra depend on M read it
+        (bundled_config_text("fig6") + "cells = 10\n", "unknown key(s): cells"),
+        (bundled_config_text("fig2b") + "planes = 200\n",
+         "unknown key(s) for this 'gaps' config: planes"),
+        (bundled_config_text("fig6").replace("planes = 1000000", ""),
          "missing required key 'planes'"),
-        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 0"),
+        (bundled_config_text("fig6").replace("planes = 1000000", "planes = 0"),
          "line 9: key 'planes'"),
-        ("transmit", bundled_config_text("fig6").replace("planes = 1000000", "planes = 3"),
+        (bundled_config_text("fig6").replace("planes = 1000000", "planes = 3"),
          "line 9: key 'planes': must be even"),
-        ("transmit", bundled_config_text("fig6").replace("5.7e-2 um^-2", "0 um^-2"),
+        (bundled_config_text("fig6").replace("5.7e-2 um^-2", "0 um^-2"),
          "line 10: key 'areal_density': must be positive"),
-        ("transmit", bundled_config_text("fig6").replace("probe_points = 4801",
-                                                         "probe_points = 1"),
+        (bundled_config_text("fig6").replace("probe_points = 4801",
+                                             "probe_points = 1"),
          "line 13: key 'probe_points'"),
-        ("transmit", bundled_config_text("fig6").replace("rb85_d2", "rb87"),
+        (bundled_config_text("fig6").replace("rb85_d2", "rb87"),
          "line 4: key 'species': unknown transition 'rb87'"),
         # values outside what the engines compute; these wrote a table of NaN
         # or mostly NaN rows and exited 0
-        ("gaps", bundled_config_text("fig4").replace("window_max = 800 gamma",
-                                                     "window_max = 1e300 gamma"),
+        (bundled_config_text("fig4").replace("window_max = 800 gamma",
+                                             "window_max = 1e300 gamma"),
          "line 15: key 'window_max': must keep the window at or below n_bz omega_0"),
-        ("gaps", bundled_config_text("fig5").replace("window_max = 800 gamma",
-                                                     "window_max = 1e300 gamma"),
+        (bundled_config_text("fig5").replace("window_max = 800 gamma",
+                                             "window_max = 1e300 gamma"),
          "line 14: key 'window_max'"),
         *(
-            ("transmit", bundled_config_text(name).replace("probe_max = 600 gamma",
-                                                           "probe_max = 1e300 gamma"),
+            (bundled_config_text(name).replace("probe_max = 600 gamma",
+                                               "probe_max = 1e300 gamma"),
              "line 12: key 'probe_max': must keep every probe frequency below")
             for name in ("fig6", "fig7", "fig8")
         ),
@@ -1075,50 +1067,45 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
             edit
             for name in ("fig9", "fig10")
             for edit in (
-                ("cavity", bundled_config_text(name).replace("cavity_detuning = 0 gamma",
-                                                             "cavity_detuning = 1e300 gamma"),
+                (bundled_config_text(name).replace("cavity_detuning = 0 gamma",
+                                                   "cavity_detuning = 1e300 gamma"),
                  "line 16: key 'cavity_detuning': must satisfy |cavity_detuning| < omega_0"),
-                ("cavity", bundled_config_text(name).replace("occupancy = 3000",
-                                                             "occupancy = 1e300"),
+                (bundled_config_text(name).replace("occupancy = 3000",
+                                                   "occupancy = 1e300"),
                  "line 13: key 'occupancy': gives a collective rate"),
-                ("cavity", bundled_config_text(name).replace("cavity_length = 85 mm",
-                                                             "cavity_length = 1e-300 mm"),
+                (bundled_config_text(name).replace("cavity_length = 85 mm",
+                                                   "cavity_length = 1e-300 mm"),
                  "line 10: key 'cavity_length': gives a squared single-atom coupling"),
             )
         ),
-        ("gaps", bundled_config_text("fig4").replace("window_min = -800 gamma",
-                                                     "window_min = -1e300 gamma"),
+        (bundled_config_text("fig4").replace("window_min = -800 gamma",
+                                             "window_min = -1e300 gamma"),
          "line 14: key 'window_min': must put the window above 0"),
-        ("cavity", bundled_config_text("fig9").replace("probe_min = -60 gamma",
-                                                       "probe_min = -7e7 gamma")
-                                              .replace("probe_max = 60 gamma",
-                                                       "probe_max = -6e7 gamma"),
+        (bundled_config_text("fig9").replace("probe_min = -60 gamma",
+                                             "probe_min = -7e7 gamma")
+                                    .replace("probe_max = 60 gamma", "probe_max = -6e7 gamma"),
          "line 17: key 'probe_min': must keep every probe frequency above 0 rad/s"),
         # offsets that differ but vanish in the sum with omega_0: the window
         # stopped only at SweepSpec, naming no key, and the probe grid ran as
         # five identical rows
-        ("gaps", bundled_config_text("fig4").replace("window_min = -800 gamma",
-                                                     "window_min = 0 gamma")
-                                            .replace("window_max = 800 gamma",
-                                                     "window_max = 1e-9 gamma"),
+        (bundled_config_text("fig4").replace("window_min = -800 gamma", "window_min = 0 gamma")
+                                    .replace("window_max = 800 gamma", "window_max = 1e-9 gamma"),
          "line 15: key 'window_max': must exceed window_min at float resolution"),
         *(
-            (command, bundled_config_text(name).replace(f"probe_min = -{span} gamma",
-                                                        "probe_min = 0 gamma")
-                                               .replace(f"probe_max = {span} gamma",
-                                                        "probe_max = 1e-9 gamma")
-                                               .replace("probe_points = 4801",
-                                                        "probe_points = 5"),
+            (bundled_config_text(name).replace(f"probe_min = -{span} gamma",
+                                               "probe_min = 0 gamma")
+                                      .replace(f"probe_max = {span} gamma",
+                                               "probe_max = 1e-9 gamma")
+                                      .replace("probe_points = 4801", "probe_points = 5"),
              f"line {line}: key 'probe_max': must give 5 distinct probe frequencies")
-            for command, name, span, line in (("transmit", "fig6", 600, 12),
-                                              ("cavity", "fig9", 60, 18))
+            for name, span, line in (("fig6", 600, 12), ("fig9", 60, 18))
         ),
         # n-bar atoms per mode area overflow: the occupancy is at fault, not the waist
-        ("cavity", bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 1e305"),
+        (bundled_config_text("fig9").replace("occupancy = 3000", "occupancy = 1e305"),
          "line 13: key 'occupancy': ValueError: areal density must be positive and finite"),
     ):
         cfg.write_text(text)
-        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and named in err and "Traceback" not in err
         assert not out.exists()
@@ -1142,7 +1129,7 @@ def test_cli_non_finite_number_exit_code(tmp_path, capsys, edit):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL_TRANSMIT.replace(*edit))
     out = tmp_path / "out.csv"
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "finite" in err and "Traceback" not in err
     key = edit[1].split(" =")[0]
@@ -1162,7 +1149,7 @@ def test_cli_non_finite_number_exit_code(tmp_path, capsys, edit):
 def test_cli_bad_gap_input_exit_code(tmp_path, capsys, edit):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(bundled_config_text("fig4").replace(*edit))
-    assert run_cli(["gaps", "--config", str(cfg)]) == 1
+    assert run_cli(["scan", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "must" in err
 
@@ -1301,7 +1288,7 @@ def test_every_one_value_edit_writes_finite_engine_values(tmp_path, capsys):
 
 
 def test_cli_missing_config_file(capsys):
-    assert run_cli(["transmit", "--config", "/nonexistent.cfg"]) == 1
+    assert run_cli(["scan", "--config", "/nonexistent.cfg"]) == 1
     assert "not found" in capsys.readouterr().err
 
 
@@ -1324,7 +1311,7 @@ def test_config_with_byte_order_mark_reads_as_without(tmp_path):
     plain.write_text(bundled_config_text("fig6"), encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     for cfg in (plain, marked):
-        assert run_cli(["transmit", "--config", str(cfg), "--out", f"{cfg}.csv"]) == 0
+        assert run_cli(["scan", "--config", str(cfg), "--out", f"{cfg}.csv"]) == 0
     assert Path(f"{marked}.csv").read_bytes() == Path(f"{plain}.csv").read_bytes()
 
 
@@ -1332,7 +1319,7 @@ def test_cli_unwritable_output_is_numeric_failure_code(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL_TRANSMIT)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(missing_dir)]) == 2
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(missing_dir)]) == 2
 
 
 def test_every_bundled_config_runs_end_to_end(tmp_path):
@@ -1352,16 +1339,12 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     # anything an earlier call left behind
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL_TRANSMIT + "mystery = 1\n")
-    runs = [
-        ("gaps", "fig2b", "csv"),
-        ("transmit", "fig6", "json"),
-        ("transmit", str(bad), "csv"),
-    ]
+    runs = [("fig2b", "csv"), ("fig6", "json"), (str(bad), "csv")]
     src = Path(cli_io.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    for i, (command, config, fmt) in enumerate(runs):
-        args = [command, "--config", config, "--format", fmt]
+    for i, (config, fmt) in enumerate(runs):
+        args = ["scan", "--config", config, "--format", fmt]
         here = tmp_path / f"here{i}.{fmt}"
         fresh = tmp_path / f"fresh{i}.{fmt}"
         code = main(args + ["--out", str(here)])
@@ -1456,7 +1439,7 @@ def test_allocation_that_fails_outside_the_cells_exits_2(
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL_TRANSMIT)
     out = tmp_path / "out.csv"
-    assert run_cli(["transmit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"numeric/runtime failure: {NO_MEMORY}\n"
     assert not out.exists()
 
@@ -1493,8 +1476,10 @@ def test_probe_window_reaching_0_rad_s_exits_1_naming_probe_min(
     assert not out.exists() and not list(tmp_path.glob("*.errors.log"))
 
 
-@pytest.mark.parametrize("argv", [["scan"], ["scan", "--config", "fig2b", "--format", "xml"], []],
-                         ids=["no_config", "unknown_format", "no_subcommand"])
+@pytest.mark.parametrize("argv", [["scan"], ["scan", "--config", "fig2b", "--format", "xml"], [],
+                                  ["transmit", "--config", "fig6"]],
+                         ids=["no_config", "unknown_format", "no_subcommand",
+                              "engine_subcommand"])
 def test_bad_command_line_exits_1_with_its_usage(capsys, argv):
     # a usage error is a configuration error (1), not a numeric failure (2)
     with pytest.raises(SystemExit) as info:
@@ -1502,15 +1487,15 @@ def test_bad_command_line_exits_1_with_its_usage(capsys, argv):
     assert info.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: bilattice") and "error: " in err
+    # the parser that refused the line, the subcommand's or the top one, answers --help
     with pytest.raises(SystemExit) as info:
-        main([*argv[:1], "--help"])
+        main([*(argv[:1] if argv[:1] == ["scan"] else []), "--help"])
     assert info.value.code == 0
 
 
 def test_cli_accepts_bundled_name(tmp_path):
-    # fig2a is the cheapest bundled run at reduced size; use it as-is but
-    # through the scan subcommand with JSON to stdout suppressed to a file
+    # fig2a is the cheapest bundled run at reduced size; use it as-is
     out = tmp_path / "fig2a.csv"
-    assert run_cli(["bands", "--config", "fig2a", "--out", str(out)]) == 0
+    assert run_cli(["scan", "--config", "fig2a", "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header.startswith("rho_over_a,q_over_G0,band_01_gamma")

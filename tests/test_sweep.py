@@ -74,7 +74,47 @@ def test_spec_validation(omega0):
         with pytest.raises(ValueError, match="^cavity sweep needs a non-empty phi grid$"):
             SweepSpec("cavity", lat, omega0, GAMMA, cavity=make_cavity(omega0),
                       probe_grid=np.array([omega0]), phi_values=phis)
+    # such a phi ran as NaN rows and one error entry per cell
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^every phi must be finite$"):
+            SweepSpec("cavity", lat, omega0, GAMMA, cavity=make_cavity(omega0),
+                      probe_grid=np.array([omega0]), phi_values=np.array([0.1, phi]))
     assert list(SweepSpec("gaps", lat, omega0, GAMMA).resolved_phis()) == [0.0]
+
+
+def test_spec_refuses_a_field_its_engine_does_not_read(omega0):
+    # such a field was ignored: a transmit spec with three phi ran one cell
+    # while resolved_phis() reported three
+    lat = make_lattice(omega0)
+    probe = np.array([omega0])
+    reads = {
+        "bands": {},
+        "gaps": {},
+        "transmit": {"probe_grid": probe},
+        "cavity": {"probe_grid": probe, "cavity": make_cavity(omega0),
+                   "phi_values": np.array([0.0])},
+    }
+    others = {   # a value other than the default of each engine-specific field, and its readers
+        "cavity": (make_cavity(omega0), "cavity"),
+        "probe_grid": (probe, "transmit cavity"),
+        "phi_values": (np.array([0.1, 0.2, 0.3]), "cavity"),
+        "n_bz": (7, "bands gaps"),
+        "n_q": (7, "bands gaps"),
+        "q_max": (1.0, "bands"),
+        "window": ((1.0, 2.0), "gaps"),
+        "cover_tol": (1.0, "gaps"),
+        "min_band_width": (1.0, "gaps"),
+    }
+    for engine, needed in reads.items():
+        for name, (value, readers) in others.items():
+            if engine in readers.split():
+                continue
+            with pytest.raises(ValueError, match=f"^a {engine} sweep does not read {name}$"):
+                SweepSpec(engine, lat, omega0, GAMMA, **{**needed, name: value})
+        # a field at its default is not read, whoever passes it
+        SweepSpec(engine, lat, omega0, GAMMA, **needed, n_q=SweepSpec.n_q, q_max=None)
+    assert list(SweepSpec("transmit", lat, omega0, GAMMA, probe_grid=probe)
+                .resolved_phis()) == [0.0]
 
 
 def test_transmit_detuning_is_in_the_reference_gamma(omega0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib.util
 from pathlib import Path
@@ -25,6 +26,7 @@ def test_settable_surface_counts_keys_fields_and_names():
     class Pair:
         x: float
         y: float = 0.0
+        norm: float = dataclasses.field(init=False)   # derived: a caller cannot set it
         LIMIT = 3   # a class attribute, not a field
 
     @dataclasses.dataclass(frozen=True)
@@ -32,8 +34,14 @@ def test_settable_surface_counts_keys_fields_and_names():
         pass
 
     keys = {"engine": ("token", None), "rho": ("length", "in cell"), "planes": ("count", ">= 2")}
-    assert tree_report.settable_surface(keys, (Pair, Empty), ["a", "b"]) == {
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--verbose", action="store_true")   # an option, not a subcommand
+    sub = parser.add_subparsers()
+    for name in ("scan", "list"):
+        sub.add_parser(name).add_argument("--config")
+    assert tree_report.settable_surface(keys, (Pair, Empty), ["a", "b"], parser) == {
         "config_keys": 3,
         "fields": {"Pair": 2, "Empty": 0},
         "public_names": 2,
+        "subcommands": 2,
     }

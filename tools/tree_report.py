@@ -6,10 +6,11 @@
 
 * ``src``: the lines and the code tokens of ``ROOT/src/bilattice`` (Python's
   ``tokenize``, without strings, comments or layout tokens), and its
-  settable surface: the number of config keys (``cli_io._KEYS``), the field
-  count of each config dataclass (``AtomSpecies``, ``LatticeConfig``,
-  ``CavityConfig``, ``SweepSpec``) and the number of public names
-  (``bilattice.__all__``);
+  settable surface: the number of config keys (``cli_io._KEYS``), the
+  number of ``__init__`` fields of each config dataclass (``AtomSpecies``,
+  ``LatticeConfig``, ``CavityConfig``, ``SweepSpec``), the number of public
+  names (``bilattice.__all__``) and the number of CLI subcommands
+  (``cli_io._build_parser()``);
 * ``outputs``: for each bundled config and each ``perfbench/configgen.py``
   config (seeds 1-3 of gaps, spectra and bands), written as CSV and as JSON
   through ``cli_io.main``, the exit code, the sha256 of the output (null
@@ -57,13 +58,18 @@ def source_size(package: Path) -> dict:
     return {"lines": lines, "tokens": tokens}
 
 
-def settable_surface(keys, config_classes, public_names) -> dict:
-    """Counts of what a caller can set: config keys, the fields of each
-    config dataclass, and public names."""
+def settable_surface(keys, config_classes, public_names, parser) -> dict:
+    """Counts of what a caller can set: config keys, the ``__init__`` fields
+    of each config dataclass, public names, and the subcommands of the CLI's
+    argparse ``parser``."""
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
     return {
         "config_keys": len(keys),
-        "fields": {cls.__name__: len(dataclasses.fields(cls)) for cls in config_classes},
+        "fields": {cls.__name__: sum(f.init for f in dataclasses.fields(cls))
+                   for cls in config_classes},
         "public_names": len(public_names),
+        "subcommands": len(subcommands),
     }
 
 
@@ -106,6 +112,7 @@ def tree_report(root: Path) -> dict:
         cli_io._KEYS,
         (core.AtomSpecies, core.LatticeConfig, cavity.CavityConfig, sweep.SweepSpec),
         bilattice.__all__,
+        cli_io._build_parser(),
     )
     return {"src": {**source_size(root / "src" / "bilattice"), **surface}, "outputs": outputs}
 
