@@ -10,9 +10,9 @@ dipole waves of the cell.  The resulting Hermitian coupled-mode matrix
 
 is an arrowhead: a diagonal photon block bordered by two dense atom rows.
 ``compute_bands`` (the dispersion engine, and the reference the tests use)
-diagonalizes it densely with ``np.linalg.eigvalsh``.  Gap detection
-(``GapScan``, ``gap_widths_vs_rho``) needs only the bands that reach its
-frequency window and diagonalizes no Bloch matrix: the number of
+diagonalizes it densely with ``np.linalg.eigvalsh``, one matrix per q.  Gap
+detection (``GapScan``, ``gap_widths_vs_rho``) needs only the bands that
+reach its frequency window and diagonalizes no Bloch matrix: the number of
 eigenvalues below omega is #(omega_k < omega) plus the negative inertia of
 a 2x2 Schur complement (Sylvester's law of inertia), an O(n_G) count per q,
 and each band value is the adjacent float64 pair at which that count passes
@@ -102,7 +102,7 @@ def build_bloch_matrix(q: float, cfg: LatticeConfig, n_bz: int = DEFAULT_N_BZ) -
             f"quasi-momentum {q} outside first BZ, folded to {folded}", stacklevel=2
         )
         q = folded
-    return BlochMatrix(q, _assemble_stack(cfg, np.array([q]), n_bz)[0])
+    return BlochMatrix(q, next(_bloch_matrices(cfg, np.array([q]), n_bz))[1])
 
 
 def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
@@ -136,38 +136,21 @@ def _arrowhead(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
     return omega_k, amp1, amp2, 1j * ms * g0
 
 
-def _assemble_stack(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
-    """Stack of Bloch matrices for a q-grid (build_bloch_matrix is one q of it)."""
+def _bloch_matrices(cfg: LatticeConfig, q_grid: np.ndarray, n_bz: int):
+    """(q, Bloch matrix at q) for each q of a grid, filled in turn into one
+    (n_G + 2) x (n_G + 2) buffer from the grid's arrowhead rows."""
     omega_k, c1, amp2, i_g = _arrowhead(cfg, q_grid, n_bz)
     c2 = amp2 * np.exp(i_g * cfg.intracell_distance)
-    n_q, n_m = omega_k.shape
-    n = n_m + 2
-    h = np.zeros((n_q, n, n), dtype=complex)
-    h[:, 0, 0] = cfg.species_even.transition_frequency
-    h[:, 1, 1] = cfg.species_odd.transition_frequency
-    idx = np.arange(n_m)
-    h[:, idx + 2, idx + 2] = omega_k
-    h[:, 0, 2:] = c1
-    h[:, 1, 2:] = c2
-    h[:, 2:, 0] = np.conj(h[:, 0, 2:])
-    h[:, 2:, 1] = np.conj(h[:, 1, 2:])
-    return h
-
-
-def _eigenvalues_for(cfg, q_chunk, n_bz):
-    stack = _assemble_stack(cfg, q_chunk, n_bz)
-    try:
-        return np.linalg.eigvalsh(stack)
-    except np.linalg.LinAlgError as exc:
-        # replay one by one to name the offending q-point
-        for q, h in zip(q_chunk, stack):
-            try:
-                np.linalg.eigvalsh(h)
-            except np.linalg.LinAlgError:
-                raise RuntimeError(
-                    f"eigensolver failed to converge at q = {q} rad/m"
-                ) from exc
-        raise RuntimeError("eigensolver failed to converge") from exc
+    n = omega_k.shape[1] + 2
+    h = np.zeros((n, n), dtype=complex)
+    h[0, 0] = cfg.species_even.transition_frequency
+    h[1, 1] = cfg.species_odd.transition_frequency
+    photons = np.arange(2, n)
+    for q, row_k, row1, row2 in zip(q_grid, omega_k, c1, c2):
+        h[photons, photons] = row_k
+        h[0, 2:], h[1, 2:] = row1, row2
+        h[2:, 0], h[2:, 1] = np.conj(h[0, 2:]), np.conj(h[1, 2:])
+        yield q, h
 
 
 def _q_grid(cfg: LatticeConfig, n_q: int, q_max: float | None = None) -> np.ndarray:
@@ -188,7 +171,8 @@ def compute_bands(
     n_q: int = DEFAULT_N_Q,
     q_max: float | None = None,
 ) -> BandStructure:
-    """Diagonalize the coupled-mode matrix on a uniform, symmetric q-grid.
+    """Diagonalize the coupled-mode matrix on a uniform, symmetric q-grid,
+    one dense matrix per q (the matrix of ``build_bloch_matrix``).
 
     Parameters
     ----------
@@ -200,7 +184,13 @@ def compute_bands(
         so dispersion plots typically use a much smaller window.
     """
     q_grid = _q_grid(cfg, n_q, q_max)
-    return BandStructure(q_grid, _eigenvalues_for(cfg, q_grid, n_bz), n_bz, cfg)
+    bands = []
+    for q, h in _bloch_matrices(cfg, q_grid, n_bz):
+        try:
+            bands.append(np.linalg.eigvalsh(h))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver failed to converge at q = {q} rad/m") from exc
+    return BandStructure(q_grid, np.array(bands), n_bz, cfg)
 
 
 def analytic_band_edges(cfg: LatticeConfig) -> tuple[float, float, float, float]:

@@ -240,14 +240,9 @@ def output_intensity(
     """
     g1, g2 = _effective_couplings(cavity, species_even, species_odd)
     rates = _species_couplings(g1, g2, cavity.wavevector, rho, phi, cavity.commensurate)
-    return _intensity(cavity, (species_even, species_odd), rates, omega_p)
-
-
-def _intensity(cavity: CavityConfig, species, rates, omega_p):
-    """``output_intensity`` from each species' per-cell coupling-squared."""
     spins = sum(
         cavity.cell_count * rate / (1j * (sp.transition_frequency - omega_p) + 0.5 * sp.linewidth)
-        for rate, sp in zip(rates, species)
+        for rate, sp in zip(rates, (species_even, species_odd))
     )
     amplitude = cavity.pump / (1j * (cavity.mode_frequency - omega_p) + cavity.linewidth + spins)
     return 2.0 * cavity.linewidth * np.abs(amplitude) ** 2
@@ -318,10 +313,10 @@ def cavity_spectrum_scan(
 ) -> list[CavityScanCell]:
     """Output spectra over (rho, phi) grids, with extracted and predicted peaks.
 
-    The couplings g_j, which do not depend on (rho, phi), are computed once;
-    each cell's spectrum is then one array evaluation over the probe grid,
-    and its predicted peaks come from the strong-coupling two-peak formula
-    with the same effective M R.  Cells come back in lexicographic grid
+    Each cell's spectrum is one ``output_intensity`` evaluation over the
+    probe grid, and its predicted peaks come from the strong-coupling
+    two-peak formula with the same effective M R
+    (``collective_coupling_squared``).  Cells come back in lexicographic grid
     order: cell i * len(phi_values) + j is (rho_values[i], phi_values[j]).
     """
     if len(probe_grid) == 0 or len(rho_values) == 0 or len(phi_values) == 0:
@@ -330,10 +325,10 @@ def cavity_spectrum_scan(
     g1, g2 = _effective_couplings(cavity, species_even, species_odd)
 
     def run_cell(rho, phi):
-        rates = _species_couplings(g1, g2, cavity.wavevector, rho, phi, cavity.commensurate)
-        intensity = _intensity(cavity, (species_even, species_odd), rates, probe)
+        intensity = output_intensity(cavity, species_even, species_odd, probe, rho, phi)
         predicted = rabi_peak_frequencies(
-            cavity.mode_frequency, species_even.transition_frequency, cavity.cell_count, sum(rates)
+            cavity.mode_frequency, species_even.transition_frequency, cavity.cell_count,
+            collective_coupling_squared(g1, g2, cavity.wavevector, rho, phi, cavity.commensurate),
         )
         return CavityScanCell(intensity, extract_peaks(probe, intensity), predicted)
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bilattice.cavity import CavityConfig
@@ -13,6 +16,16 @@ from bilattice.core import AtomSpecies, LatticeConfig
 
 GAMMA = TWO_PI * 6e6
 LAMBDA_ATOM = 780e-9
+
+# exit code, sha256 and errors-sidecar flag of each bundled output and each
+# seeded gaps/spectra output (perfbench/configgen.py, seeds 1-3), CSV and
+# JSON, as tools/tree_report.py reports them; recorded with numpy 2.4.6 and
+# scipy-openblas 0.3.31 (the same with BLAS on 1 or 2 threads).  A change
+# to the bytes, such as a stated precision fix, changes its entry there
+OUTPUT_DIGESTS = json.loads(Path(__file__).with_name("output_digests.json").read_text())
+recorded_numpy = pytest.mark.skipif(
+    np.__version__ != "2.4.6", reason="digests recorded with numpy 2.4.6 / scipy-openblas 0.3.31"
+)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ than in the package:
 * ``fabry_perot_transmission`` -- the lattice in a two-mirror resonator,
   built from transfer matrices: the independent route to the cavity
   engine's ``intensity_norm``;
+* ``inertia_count`` -- the number of Bloch-matrix eigenvalues below a
+  frequency, in 40-digit arithmetic: the reference for band values;
 * ``read_table`` -- reads back what ``tableio.write_table`` wrote.
 """
 
@@ -23,6 +25,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from bilattice.constants import C
@@ -110,6 +113,40 @@ def fabry_perot_transmission(cavity, lattice, probe, phi) -> np.ndarray:
         @ period_matrix(0.0, to_mirror - span, k) @ period_matrix(xi_m, 0.0, k)
     )
     return np.abs(1.0 / total.m22) ** 2
+
+
+def inertia_count(omega: float, omega_k, c1, c2, atoms) -> int:
+    """Number of eigenvalues below omega of one q's Bloch matrix, to 40 digits.
+
+    The matrix is the arrowhead of ``bandstructure._arrowhead``'s float rows
+    at that q: the atom diagonal ``atoms`` = (omega_1, omega_2), the photon
+    diagonal ``omega_k`` and the atom rows ``c1`` and ``c2`` (= amp2 e^{i G
+    rho}), each float taken exactly.  By Sylvester's law of inertia the count
+    is #(omega_k < omega) plus the negative inertia of the 2x2 Schur complement
+
+        S = diag(omega_1 - omega, omega_2 - omega) - sum_k c_k c_k^H / (omega_k - omega),
+
+    here summed with 40 significant digits (Barth, Martin & Wilkinson,
+    Numer. Math. 9, 386 (1967)).
+    """
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        w = mpf(omega)
+        s11, s22, s12_re, s12_im = mpf(atoms[0]) - w, mpf(atoms[1]) - w, mpf(0), mpf(0)
+        photons = 0
+        for wk, a, b in zip(np.asarray(omega_k).tolist(), np.asarray(c1, dtype=complex).tolist(),
+                            np.asarray(c2, dtype=complex).tolist()):
+            d = mpf(wk) - w
+            photons += d < 0
+            if a == 0 and b == 0:   # decoupled below the infrared cutoff
+                continue
+            ar, ai, br, bi = mpf(a.real), mpf(a.imag), mpf(b.real), mpf(b.imag)
+            s11 -= (ar * ar + ai * ai) / d
+            s22 -= (br * br + bi * bi) / d
+            s12_re -= (ar * br + ai * bi) / d      # c1 c2* = (ar + i ai)(br - i bi)
+            s12_im -= (ai * br - ar * bi) / d
+        det = s11 * s22 - (s12_re * s12_re + s12_im * s12_im)
+        return photons + (1 if det < 0 else (s11 + s22 < 0) * (1 + (det > 0)))
 
 
 def read_table(path) -> Table:

@@ -32,7 +32,7 @@ from bilattice.core import cavity_coupling
 from bilattice.sweep import Cell, Table, run_sweep
 from bilattice.tableio import _jsonable
 
-from conftest import GAMMA
+from conftest import GAMMA, OUTPUT_DIGESTS, recorded_numpy
 from oracles import read_table
 
 MINIMAL_TRANSMIT = """\
@@ -618,33 +618,7 @@ def test_block_writer_matches_per_value_rules_on_bundled_tables(tmp_path, name, 
     assert path.read_bytes() == oracle(table).encode("utf-8")
 
 
-# sha256 of every bundled table as written, with numpy 2.4.6 and
-# scipy-openblas 0.3.31 (the same with BLAS on 1 or 2 threads).  A change
-# to the bytes, such as a stated precision fix, changes its digest here.
-BUNDLED_DIGESTS = {
-    "fig2a.csv": "f89a10cc03a8d62872d5d91456362fbb7191a8536ff99a14adf8d6fc5cf91c9a",
-    "fig2a.json": "6f97020b9cacd565d307f36f95158862eb2fa7d9edb15008f71751e0334718b1",
-    "fig2b.csv": "9b90af0cd45319af616453451534ed42559d7cbd88842d46d002d24fea42efa9",
-    "fig2b.json": "10f8402fd3847db6a88ff6ce64ddcecde1ef7e139be783ce25f535a13b3967e8",
-    "fig4.csv": "af4be6349d00dad590e429990da61a16852ba0910e00a2139ea265359cbb5aa5",
-    "fig4.json": "3d6baafb1073d4c641cb87199cb9ab186d0b7191c62657665648a095fe3448c1",
-    "fig5.csv": "c7e6cdfd7957d40c2002745c0b1497ecc7f7998b7219fb859518446c50ed2841",
-    "fig5.json": "eea751f6430d42cccd2c3cad94270f275c0c3c3d0f63d9d790b3521f06594b2b",
-    "fig6.csv": "9df77c48356921a1ac15c0ef104022c66f0b34b2db97b80a27dc1f76cdc44e8c",
-    "fig6.json": "326fd425485a47d0f36572f7cec7c6036a4081a0c72ea59f0be41597405b3f8a",
-    "fig7.csv": "ff8d0af28821dee89fe2d31109116c8c3f863f1aac9d900e9b6f26cc4fd7e020",
-    "fig7.json": "04ac618c8f2ad7a071fd8de2c5374a9b23f4b22674cdf416a36cc7dfed3f85d6",
-    "fig8.csv": "84005c61c619c85051fb1b1eb8530e2ae96c48b2d3da0869988265dd0df46613",
-    "fig8.json": "2cda22102850e1f1821d7367c62846e048cb485fb2216a0044aa7501f7a1c6c0",
-    "fig9.csv": "734e250f1f3a1b276ce79b0f0cbc8789b58348648c9173188b0e2f14eebf927c",
-    "fig9.json": "8e39cc4a32b8094c0a250fb0344d778504d80ef304e19f838869c2d71d00661e",
-    "fig10.csv": "e04f211b8bddd0f67f74b3ecf6be70ec28c1c245615efe102c92801d1941a61e",
-    "fig10.json": "e8ba360200860f0e7462330a42ecc9009a85fec8d51c81f7bbb3e788c8b594c4",
-}
-
-
-@pytest.mark.skipif(np.__version__ != "2.4.6",
-                    reason="digests recorded with numpy 2.4.6 / scipy-openblas 0.3.31")
+@recorded_numpy
 def test_bundled_tables_keep_their_bytes(tmp_path):
     digests = {}
     for name in BUNDLED_CONFIGS:
@@ -652,8 +626,9 @@ def test_bundled_tables_keep_their_bytes(tmp_path):
         for fmt in ("csv", "json"):
             path = tmp_path / f"{name}.{fmt}"
             write_table(table, path, fmt)
-            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == BUNDLED_DIGESTS
+            digests[f"bundled/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {key: entry["sha256"] for key, entry in OUTPUT_DIGESTS.items()
+                       if key.startswith("bundled/")}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

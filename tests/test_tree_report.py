@@ -1,16 +1,28 @@
-"""tools/tree_report.py: the size and the settable surface it reports."""
+"""tools/tree_report.py: the size, the settable surface and the outputs it reports."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "tree_report.py"
-spec = importlib.util.spec_from_file_location("tree_report", SCRIPT)
-tree_report = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tree_report)
+from bilattice import cli_io
+
+from conftest import OUTPUT_DIGESTS, recorded_numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # registered first: dataclasses look their module up
+    return module
+
+
+tree_report = load(ROOT / "tools" / "tree_report.py")
 
 
 def test_source_size_counts_lines_and_code_tokens(tmp_path):
@@ -45,3 +57,12 @@ def test_settable_surface_counts_keys_fields_and_names():
         "public_names": 2,
         "subcommands": 2,
     }
+
+
+@recorded_numpy
+def test_bundled_and_seeded_outputs_keep_their_bytes(tmp_path):
+    # the seeded bands outputs are left out: each fig2a-sized run takes 0.3-0.8 s
+    configgen = load(ROOT / "perfbench" / "configgen.py")
+    runs = tree_report.config_runs(cli_io, configgen, ROOT / "src" / "bilattice" / "configs",
+                                   ("gaps", "spectra"))
+    assert tree_report.outputs(cli_io, runs, tmp_path) == OUTPUT_DIGESTS

@@ -87,6 +87,23 @@ def run_output(cli_io, name: str, text: str, fmt: str, work: Path) -> dict:
     return report
 
 
+def config_runs(cli_io, configgen, config_dir: Path, workloads) -> list[tuple[str, str]]:
+    """(key, config text) of each bundled config, then of each seeded config
+    of ``workloads``: "bundled/<name>" and "<workload>/<seed>/<name>"."""
+    runs = [(f"bundled/{name}", cli_io.bundled_config_text(name))
+            for name in cli_io.BUNDLED_CONFIGS]
+    runs += [(f"{workload}/{seed}/{spec.name}", spec.text)
+             for workload in workloads for seed in SEEDS
+             for spec in configgen.generate(workload, seed, config_dir)]
+    return runs
+
+
+def outputs(cli_io, runs, work: Path) -> dict:
+    """``run_output`` of each (key, text) of ``runs`` in each format, keyed "<key>.<fmt>"."""
+    return {f"{key}.{fmt}": run_output(cli_io, key.rsplit("/", 1)[1], text, fmt, work)
+            for key, text in runs for fmt in FORMATS}
+
+
 def tree_report(root: Path) -> dict:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -96,25 +113,17 @@ def tree_report(root: Path) -> dict:
 
     if Path(cli_io.__file__).resolve().parents[2] != root.resolve():
         raise SystemExit(f"imported {cli_io.__file__}, not the checkout at {root}")
-    config_dir = root / "src" / "bilattice" / "configs"
-    runs = [(f"bundled/{name}", cli_io.bundled_config_text(name))
-            for name in cli_io.BUNDLED_CONFIGS]
-    runs += [(f"{workload}/{seed}/{spec.name}", spec.text)
-             for workload in configgen.WORKLOADS for seed in SEEDS
-             for spec in configgen.generate(workload, seed, config_dir)]
-    outputs = {}
+    runs = config_runs(cli_io, configgen, root / "src" / "bilattice" / "configs",
+                       configgen.WORKLOADS)
     with tempfile.TemporaryDirectory() as tmp:
-        for key, text in runs:
-            for fmt in FORMATS:
-                name = key.rsplit("/", 1)[1]
-                outputs[f"{key}.{fmt}"] = run_output(cli_io, name, text, fmt, Path(tmp))
+        report = outputs(cli_io, runs, Path(tmp))
     surface = settable_surface(
         cli_io._KEYS,
         (core.AtomSpecies, core.LatticeConfig, cavity.CavityConfig, sweep.SweepSpec),
         bilattice.__all__,
         cli_io._build_parser(),
     )
-    return {"src": {**source_size(root / "src" / "bilattice"), **surface}, "outputs": outputs}
+    return {"src": {**source_size(root / "src" / "bilattice"), **surface}, "outputs": report}
 
 
 def main(argv=None) -> int:
