@@ -279,22 +279,18 @@ def rabi_peak_frequencies(
     return mean - half, mean + half
 
 
-def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    """Quadratic interpolation of a local maximum at interior grid index i."""
+def extract_peaks(probe_grid: np.ndarray, intensity: np.ndarray) -> list[float]:
+    """Local maxima of a sampled spectrum, refined by quadratic interpolation.
+
+    A maximum whose three samples have y0 - 2 y1 + y2 = 0 (a parabola with
+    no vertex) stays at its grid point.
+    """
+    x, y = np.asarray(probe_grid, dtype=float), np.asarray(intensity, dtype=float)
+    i = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(x[i])
-    shift = 0.5 * (y0 - y2) / denom
-    return float(x[i] + shift * (x[1] - x[0]))
-
-
-def extract_peaks(probe_grid: np.ndarray, intensity: np.ndarray) -> list[float]:
-    """Local maxima of a sampled spectrum, refined by quadratic interpolation."""
-    y = np.asarray(intensity)
-    inner = y[1:-1]
-    maxima = np.flatnonzero((inner > y[:-2]) & (inner >= y[2:])) + 1
-    return [_refine_peak(probe_grid, y, i) for i in maxima.tolist()]
+    shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=denom != 0)
+    return (x[i] + shift * np.diff(x[:2])).tolist()   # a one-point grid: no step, no maxima
 
 
 class CavityScanCell(NamedTuple):

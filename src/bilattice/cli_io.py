@@ -15,9 +15,10 @@ physical quantity carries an explicit unit suffix:
 * quasi-momenta: ``G0`` (multiples of the reciprocal vector) or ``rad/m``.
 
 ``*_values`` keys accept comma-separated lists sharing one trailing unit.
-Every number must be finite.  ``_KEYS`` gives each key's unit kind and the
-rule its value alone must meet; ``_parse`` checks the rules that tie keys
-together.  A config holds only the keys its engine reads: an unknown key is
+Every number must be finite, and every count an integer below 2^53, so that
+it reads exactly.  ``_KEYS`` gives each key's unit kind and the rule its
+value alone must meet; ``_parse`` checks the rules that tie keys together.
+A config holds only the keys its engine reads: an unknown key is
 rejected before any value is read, and a known key that the engine does not
 read is rejected after parsing.  An error names its key and line where one
 key is at fault.  The reference chain: the named species fixes
@@ -40,10 +41,12 @@ Output tables are CSV (header row with units in the column names, numbers at
 12 significant digits) or JSON mirroring the same schema (indent 1, NaN as
 null), written by ``tableio.write_table`` (see there for how).  Cell errors
 go to a ``<out>.errors.log`` sidecar, or to stderr when the table goes to
-stdout.  Transmit and cavity tables use exactly the columns (omega_p_rad_s,
-detuning_gamma, T, R, A) resp. (omega_p_rad_s, detuning_gamma,
-intensity_photons_per_s, intensity_norm) for single-geometry runs; grid
-sweeps prepend the varied coordinates.
+stdout.  Bands, transmit and cavity tables use exactly the columns
+(q_over_G0, band_01_gamma, ...), (omega_p_rad_s, detuning_gamma, T, R, A)
+resp. (omega_p_rad_s, detuning_gamma, intensity_photons_per_s,
+intensity_norm) for a one-cell grid; a grid of more cells prepends the
+coordinates (rho_over_a, then phi_rad for the cavity).  The gaps table
+always starts with its rho_over_a axis.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric failure.
 """
@@ -200,6 +203,8 @@ class _Entry:
             self.fail("expected a single value, got a list")
         if kind == "count" and values[0] != int(values[0]):
             self.fail(f"expected an integer, got {self.value!r}")
+        if kind == "count" and values[0] >= 2**53:   # 2^53 + 1 reads as 2^53
+            self.fail(f"must be below 2^53 = {2**53} to read exactly")
         ok, message = True, f"must be {rule}"   # "positive" and ">= N" say so
         if rule == "positive":
             ok = min(values) > 0
@@ -524,6 +529,3 @@ def main(argv=None) -> int:
         return 2
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

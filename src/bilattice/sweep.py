@@ -3,12 +3,15 @@
 Grid cells (one rho, or one (rho, phi) pair for the cavity) are pure-function
 evaluations, run one after the other in lexicographic grid order; the
 transmit and cavity engines evaluate a cell's whole probe grid in one call.
-Each grid cell becomes one ``Cell`` of the table, built straight from the
-engine arrays: the cell's constant coordinates as a prefix, and its column
-arrays, among them the axes every cell shares (the probe grid and detuning,
-the q grid), passed as the same array object to every cell.  The gaps
-engine, one row per rho, makes one cell of the whole scan instead, with
-rho/a as its first column, and builds one ``GapScan`` plan for all its rho.
+One builder makes the bands, transmit and cavity tables: each grid cell
+becomes one ``Cell``, built straight from the engine arrays.  Its columns
+include the axes every cell shares (the probe grid and detuning, the q
+grid), passed as the same array object to every cell.  When the grid has
+more than one cell, the cell's coordinates (rho/a, then phi) lead the header
+and every row, as the cell's constant prefix; a one-cell table has neither
+coordinate column.  The gaps engine, one row per rho, makes one cell of the
+whole scan instead, with rho/a as its first column, and builds one
+``GapScan`` plan for all its rho.
 A failing cell contributes NaN rows and an entry in the table's error list;
 what the cells share is built before them, and its failure ends the sweep.
 
@@ -206,32 +209,46 @@ def _gamma_units(spec: SweepSpec, omega: float) -> float:
     return (omega - spec.reference_frequency) / spec.reference_linewidth
 
 
+def _grid_table(spec: SweepSpec, columns: list[str], run, failed, **meta) -> Table:
+    """The table of a per-cell engine: one ``Cell`` per grid cell, in grid order.
+
+    The grid is the spec's rho values, times its phi values for the cavity.
+    ``run(coords)`` gives a cell's ``columns``, and ``failed`` those of a
+    cell that fails (see ``_run_cells``).  The coordinates (rho/a, then phi)
+    lead the header and every row only when the grid has more than one
+    cell.  ``meta`` follows the engine and the grid in the table's meta.
+    """
+    rhos = spec.resolved_rhos()
+    cells = _rho_grid(rhos)
+    coordinates = ["rho_over_a"]
+    grid_meta = {"engine": spec.engine, "rho_values": list(map(float, rhos))}
+    if spec.engine == "cavity":
+        phis = spec.resolved_phis()
+        cells = [{**cell, "phi": float(phi)} for cell in cells for phi in phis]
+        coordinates.append("phi_rad")
+        grid_meta["phi_values"] = list(map(float, phis))
+    lead = len(cells) > 1
+    table = Table(coordinates * lead + columns, meta={**grid_meta, **meta})
+    a = spec.lattice.cell_size
+    for coords, cell_columns in zip(cells, _run_cells(table, cells, run, failed)):
+        rho, *phi = coords.values()
+        table.cells.append(Cell((rho / a, *phi) if lead else (), cell_columns))
+    return table
+
+
 def _bands_table(spec: SweepSpec) -> Table:
     from . import bandstructure
     cfg = spec.lattice
-    n_modes = 2 * spec.n_bz + 3
-    columns = ["rho_over_a", "q_over_G0"] + [
-        f"band_{i + 1:02d}_gamma" for i in range(n_modes)
-    ]
-    rhos = spec.resolved_rhos()
-    table = Table(columns, meta={"engine": "bands", "rho_values": list(map(float, rhos))})
+    columns = ["q_over_G0"] + [f"band_{i + 1:02d}_gamma" for i in range(2 * spec.n_bz + 3)]
     # the q grid of compute_bands, which does not depend on rho: one column for every cell
     q_axis = bandstructure._q_grid(cfg, spec.n_q, spec.q_max) / cfg.reciprocal_vector
 
     def run(coords):
-        bs = bandstructure.compute_bands(
-            cfg.replace(intracell_distance=coords["rho"]),
-            n_bz=spec.n_bz,
-            n_q=spec.n_q,
-            q_max=spec.q_max,
-        )
+        bs = bandstructure.compute_bands(cfg.replace(intracell_distance=coords["rho"]),
+                                         n_bz=spec.n_bz, n_q=spec.n_q, q_max=spec.q_max)
         return (q_axis, *_gamma_units(spec, bs.bands).T)
 
-    cells = _rho_grid(rhos)
-    failed = ((NAN,),) * (len(columns) - 1)   # one NaN row after rho/a
-    for coords, cell_columns in zip(cells, _run_cells(table, cells, run, failed)):
-        table.cells.append(Cell((coords["rho"] / cfg.cell_size,), cell_columns))
-    return table
+    return _grid_table(spec, columns, run, ((NAN,),) * len(columns))   # one NaN row
 
 
 def _gaps_table(spec: SweepSpec) -> Table:
@@ -278,12 +295,6 @@ def _gaps_table(spec: SweepSpec) -> Table:
 def _transmit_table(spec: SweepSpec) -> Table:
     from . import transfer_matrix
     cfg = spec.lattice
-    a = cfg.cell_size
-    rhos = spec.resolved_rhos()
-    single = len(rhos) == 1
-    base_cols = ["omega_p_rad_s", "detuning_gamma", "T", "R", "A"]
-    columns = base_cols if single else ["rho_over_a"] + base_cols
-    table = Table(columns, meta={"engine": "transmit", "rho_values": list(map(float, rhos))})
     grid = np.asarray(spec.probe_grid, dtype=float)
     # the omega_p and detuning axes (from the even line, in gamma), shared by every cell
     detuning = (grid - cfg.species_even.transition_frequency) / spec.reference_linewidth
@@ -293,60 +304,41 @@ def _transmit_table(spec: SweepSpec) -> Table:
         return (grid, detuning, *result)
 
     nan = np.full(grid.shape, NAN)
-    cells = _rho_grid(rhos)
-    failed = (grid, detuning, nan, nan, nan)
-    for coords, cell_columns in zip(cells, _run_cells(table, cells, run, failed)):
-        prefix = () if single else (coords["rho"] / a,)
-        table.cells.append(Cell(prefix, cell_columns))
-    return table
+    return _grid_table(spec, ["omega_p_rad_s", "detuning_gamma", "T", "R", "A"], run,
+                       (grid, detuning, nan, nan, nan))
 
 
 def _cavity_table(spec: SweepSpec) -> Table:
     from . import cavity as cavity_mod
-    cav = spec.cavity
-    lat = spec.lattice
+    cav, lat = spec.cavity, spec.lattice
     a = lat.cell_size
-    rhos = spec.resolved_rhos()
-    phis = spec.resolved_phis()
-    single = len(rhos) == 1 and len(phis) == 1
-    base_cols = ["omega_p_rad_s", "detuning_gamma", "intensity_photons_per_s", "intensity_norm"]
-    columns = base_cols if single else ["rho_over_a", "phi_rad"] + base_cols
     # empty-cavity resonant peak used for the normalized column
     peak_norm = 2.0 * cav.pump**2 / cav.linewidth
-    table = Table(
-        columns,
-        meta={
-            "engine": "cavity",
-            "rho_values": list(map(float, rhos)),
-            "phi_values": list(map(float, phis)),
-            "commensurate_order": cav.commensurate_order(a) if cav.commensurate else None,
-            "peaks": [],
-        },
-    )
     grid = np.asarray(spec.probe_grid, dtype=float)
     detuning = _gamma_units(spec, grid)
-    cells = [{"rho": float(rho), "phi": float(phi)} for rho in rhos for phi in phis]
+    peaks = []
 
     def run(coords):
         rho, phi = coords["rho"], coords["phi"]
         result = cavity_mod.cavity_spectrum_scan(
             cav, lat.species_even, lat.species_odd, grid, [rho], [phi]
         )[0]
-        table.meta["peaks"].append(
-            {
-                "rho_over_a": rho / a,
-                "phi_rad": phi,
-                "peaks_rad_s": result.peaks,
-                "predicted_rad_s": list(result.predicted_peaks),
-            }
-        )
-        return result.intensities
+        intensity = result.intensities
+        # the columns first, so that a cell that fails leaves no peak entry
+        columns = (grid, detuning, intensity, intensity / peak_norm)
+        peaks.append({"rho_over_a": rho / a, "phi_rad": phi, "peaks_rad_s": result.peaks,
+                      "predicted_rad_s": list(result.predicted_peaks)})
+        return columns
 
-    failed = np.full(grid.shape, NAN)
-    for coords, intensity in zip(cells, _run_cells(table, cells, run, failed)):
-        prefix = () if single else (coords["rho"] / a, coords["phi"])
-        table.cells.append(Cell(prefix, (grid, detuning, intensity, intensity / peak_norm)))
-    return table
+    nan = np.full(grid.shape, NAN)
+    return _grid_table(
+        spec,
+        ["omega_p_rad_s", "detuning_gamma", "intensity_photons_per_s", "intensity_norm"],
+        run,
+        (grid, detuning, nan, nan),
+        commensurate_order=cav.commensurate_order(a) if cav.commensurate else None,
+        peaks=peaks,
+    )
 
 
 def run_sweep(spec: SweepSpec) -> Table:

@@ -276,6 +276,18 @@ def test_bands_engine_table(omega0):
     assert qs[0] == pytest.approx(-0.5) and qs[-1] == pytest.approx(0.5)
 
 
+def test_one_rho_bands_table_has_no_coordinate_column(omega0):
+    # the lead rule of the transmit and cavity tables: a one-cell grid's
+    # constant rho is not a column
+    lat = make_lattice(omega0, cells=100)
+    spec = SweepSpec("bands", lat, omega0, GAMMA, n_bz=2, n_q=5)
+    table = run_sweep(spec)
+    assert table.columns == ["q_over_G0"] + [f"band_{i:02d}_gamma" for i in range(1, 8)]
+    assert [cell.prefix for cell in table.cells] == [()]
+    assert len(table.rows) == 5 and all(len(row) == 8 for row in table.rows)
+    assert table.meta == {"engine": "bands", "rho_values": [lat.intracell_distance]}
+
+
 def test_gaps_engine_numeric_matches_analytic_columns(omega0):
     lat = make_lattice(omega0, cells=100)
     a = lat.cell_size
